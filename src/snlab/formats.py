@@ -9,6 +9,9 @@ the vertex count, followed by one ``u v s`` line per edge with ``u < v``
 and ``s`` either ``+`` or ``-``. Records are separated by blank lines;
 ``#`` starts a comment. Writers emit edges sorted, so write/read/write is
 the identity on bytes.
+
+Readers decode non-ASCII bytes to lone surrogates (``surrogateescape``),
+so the parsers reject them as a :class:`ParseError` with a line number.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def graph6_decode(line: str, lineno: int | None = None) -> Graph:
 
 def read_graph6(path: str) -> Iterator[Graph]:
     """Graphs from a graph6 file, one per non-blank line, lazily."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             s = raw.strip()
             if not s or s == _G6_HEADER:
@@ -146,6 +149,8 @@ def sgl_loads(text: str) -> list[SignedGraph]:
         triples = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.isascii():  # keeps isdigit below to ASCII digits too
+            raise ParseError("non-ASCII character", lineno)
         line = raw.split("#", 1)[0].strip()
         if not line:
             flush()
@@ -174,7 +179,7 @@ def sgl_loads(text: str) -> list[SignedGraph]:
 
 
 def read_sgl(path: str) -> list[SignedGraph]:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return sgl_loads(fh.read())
 
 

@@ -46,6 +46,16 @@ def effective_vertex_cap() -> int:
     return value
 
 
+def check_vertex_cap(n: int, cap: Optional[int] = None) -> None:
+    """Raise :class:`CapacityError` when ``n`` exceeds ``cap`` (by default
+    the environment's cap)."""
+    cap = effective_vertex_cap() if cap is None else cap
+    if n > cap:
+        raise CapacityError(
+            f"enumeration is capped at {cap} vertices, got {n} "
+            f"(set {CAPACITY_OVERRIDE_ENV} to override)")
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -155,14 +165,9 @@ def enumerate_connected(n: int, max_c: Optional[int] = None,
     dimension exactly 1, ``min_girth`` drops graphs with shorter cycles.
     ``n`` beyond the cap raises :class:`CapacityError`.
     """
-    if cap is None:
-        cap = effective_vertex_cap()
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
-    if n > cap:
-        raise CapacityError(
-            f"enumeration is capped at {cap} vertices, got {n} "
-            f"(set {CAPACITY_OVERRIDE_ENV} to override)")
+    check_vertex_cap(n, cap)
     eff_max_c = 1 if unicyclic_only else max_c
     for g in _connected_catalog(n, eff_max_c):
         if unicyclic_only and cycle_space_dim(g) != 1:
@@ -178,7 +183,9 @@ def enumerate_signatures(g: Graph) -> Iterator[SignedGraph]:
     """One signature per switching class, all-positive first.
 
     Forest edges are pinned positive; the ``i``-th non-forest edge (sorted)
-    is negative exactly when bit ``i`` of the pattern index is set.
+    is negative exactly when bit ``i`` of the pattern index is set. Only the
+    first (all-positive) signature is balanced: any negative non-forest
+    edge closes a negative fundamental cycle with the positive forest.
     """
     free = cotree_edges(g)
     for pattern in range(1 << len(free)):

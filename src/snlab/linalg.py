@@ -92,7 +92,8 @@ def char_poly_exact(m: IntMatrix, cap: int = CHAR_POLY_VERTEX_CAP) -> tuple[int,
         aux = nxt
         trace = sum(sum(m[i][t] * aux[t][i] for t in range(n)) for i in range(n))
         q, r = divmod(-trace, k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact"
+        if r:
+            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
         coeffs.append(q)
     return tuple(coeffs)
 

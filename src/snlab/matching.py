@@ -15,8 +15,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapacityError, StructureError
-from .graphs import (Cycle, Edge, Graph, contract_cycles, cycle_space_dim,
-                     cycles_pairwise_vertex_disjoint, induced_subgraph, is_connected)
+from .graphs import (ContractionTree, Cycle, Edge, Graph, contract_cycles,
+                     cycle_space_dim, cycles_pairwise_vertex_disjoint,
+                     induced_subgraph, is_connected)
 
 BRUTE_FORCE_EDGE_CAP = 24
 
@@ -278,6 +279,12 @@ def matching_sets(g: Graph) -> MatchingSets:
     )
 
 
+def contraction_matched(t: ContractionTree) -> bool:
+    """Whether the contraction tree and the tree minus its cyclic vertices
+    have equal matching numbers."""
+    return matching_number(t.tree) == matching_number(t.core)
+
+
 def even_cycle_matching_equivalence(g: Graph) -> tuple[bool, bool]:
     """Two equivalent statements about a unicyclic graph with an even cycle.
 
@@ -290,7 +297,7 @@ def even_cycle_matching_equivalence(g: Graph) -> tuple[bool, bool]:
     if len(cyc) % 2 != 0:
         raise StructureError("expected an even cycle")
     t = contract_cycles(g)
-    left = matching_number(t.tree) == matching_number(t.core)
+    left = contraction_matched(t)
     ms = matching_sets(g)
     split = matching_number(g) == len(cyc) // 2 + matching_number(t.core)
     right = split and ms.num_meeting_boundary == 0
@@ -308,6 +315,6 @@ def odd_cycle_matching_equivalence(g: Graph) -> tuple[bool, bool]:
     if len(cyc) % 2 == 0:
         raise StructureError("expected an odd cycle")
     t = contract_cycles(g)
-    left = matching_number(t.tree) == matching_number(t.core)
+    left = contraction_matched(t)
     right = matching_number(g) == len(cyc) // 2 + matching_number(t.core)
     return left, right

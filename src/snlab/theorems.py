@@ -19,15 +19,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .balance import cycle_sign, is_balanced
-from .errors import CapacityError, TheoremViolation
+from .errors import TheoremViolation
 from .formats import graph6_encode, sgl_dumps
-from .generation import (CAPACITY_OVERRIDE_ENV, effective_vertex_cap,
-                         enumerate_connected, enumerate_signatures)
+from .generation import check_vertex_cap, enumerate_connected, enumerate_signatures
 from .graphs import (Cycle, Edge, Graph, PendantType, SignedGraph, contract_cycles,
                      cycle_space_dim, cycles_pairwise_vertex_disjoint, delete_vertices,
                      is_connected, vertices_on_cycles)
 from .linalg import nullity
-from .matching import matching_number
+from .matching import contraction_matched, matching_number
 
 
 @dataclass(frozen=True)
@@ -53,29 +52,46 @@ class InvariantRecord:
                 "upper": self.upper, "s": self.s}
 
 
-def _violation(kind: str, sg: SignedGraph, rec: InvariantRecord) -> TheoremViolation:
-    return TheoremViolation(kind, rec.to_json_dict(), sgl_dumps([sg]))
+def _bounds(n: int, m: int, c: int) -> tuple[int, int]:
+    """The nullity bounds ``(n - 2m - c, n - 2m + 2c)``."""
+    return n - 2 * m - c, n - 2 * m + 2 * c
+
+
+def _broken_laws(eta: int, lower: int, upper: int) -> list[str]:
+    """The statements a nullity value breaks: the bounds, then the gap."""
+    kinds = []
+    if not lower <= eta <= upper:
+        kinds.append("nullity bounds")
+    if upper - eta == 1:
+        kinds.append("slack-one gap")
+    return kinds
 
 
 def invariant_record(sg: SignedGraph, check: bool = True) -> InvariantRecord:
     """Compute all invariants; with ``check`` the bound and gap statements
     are asserted and a violation raises :class:`TheoremViolation` carrying
     the counterexample."""
-    n = sg.n
-    m = matching_number(sg.graph)
-    c = cycle_space_dim(sg.graph)
+    n, m, c = sg.n, matching_number(sg.graph), cycle_space_dim(sg.graph)
+    lower, upper = _bounds(n, m, c)
     eta = nullity(sg)
-    rec = InvariantRecord(
-        n=n, m=m, c=c, eta=eta,
-        balanced=is_balanced(sg).balanced,
-        lower=n - 2 * m - c, upper=n - 2 * m + 2 * c,
-        s=(n - 2 * m + 2 * c) - eta)
-    if check:
-        if not rec.lower <= eta <= rec.upper:
-            raise _violation("nullity bounds", sg, rec)
-        if rec.s == 1:
-            raise _violation("slack-one gap", sg, rec)
+    rec = InvariantRecord(n=n, m=m, c=c, eta=eta,
+                          balanced=is_balanced(sg).balanced,
+                          lower=lower, upper=upper, s=upper - eta)
+    broken = _broken_laws(eta, lower, upper) if check else []
+    if broken:
+        raise TheoremViolation(broken[0], rec.to_json_dict(), sgl_dumps([sg]))
     return rec
+
+
+def _signs_attain(sg: SignedGraph, cycles: Sequence[Cycle]) -> bool:
+    """Every cycle has length 0 mod 4 with positive sign or length 2 mod 4
+    with negative sign."""
+    for cyc in cycles:
+        q = len(cyc)
+        sign = cycle_sign(sg, cyc)
+        if not ((q % 4 == 0 and sign == 1) or (q % 4 == 2 and sign == -1)):
+            return False
+    return True
 
 
 def attains_upper(sg: SignedGraph) -> bool:
@@ -90,16 +106,8 @@ def attains_upper(sg: SignedGraph) -> bool:
     if not is_connected(sg.graph):
         raise ValueError("the upper-bound predicate needs a connected graph")
     ok, cycles = cycles_pairwise_vertex_disjoint(sg.graph)
-    if not ok:
-        return False
-    assert cycles is not None
-    for cyc in cycles:
-        q = len(cyc)
-        sign = cycle_sign(sg, cyc)
-        if not ((q % 4 == 0 and sign == 1) or (q % 4 == 2 and sign == -1)):
-            return False
-    t = contract_cycles(sg.graph)
-    return matching_number(t.tree) == matching_number(t.core)
+    return (ok and _signs_attain(sg, cycles)
+            and contraction_matched(contract_cycles(sg.graph)))
 
 
 def classify_unicyclic(sg: SignedGraph) -> int:
@@ -119,7 +127,7 @@ def classify_unicyclic(sg: SignedGraph) -> int:
     t = contract_cycles(g)
     (cyc,) = [o for o in t.origin if isinstance(o, Cycle)]
     q = len(cyc)
-    matched = matching_number(t.tree) == matching_number(t.core)
+    matched = contraction_matched(t)
     if q % 2 == 1 and matched:
         return -1
     if q % 4 == 2 and matched:
@@ -233,8 +241,7 @@ def family_prediction(p: FamilyParams) -> FamilyPrediction:
     m = l1 + 3 * l2 + 2 * l3 + 1
     c = l1 + l2 + l3
     eta = 2 * l2 + l3
-    return FamilyPrediction(n=n, m=m, c=c, eta=eta,
-                            s=(n - 2 * m + 2 * c) - eta)
+    return FamilyPrediction(n=n, m=m, c=c, eta=eta, s=_bounds(n, m, c)[1] - eta)
 
 
 def generate_family(p: FamilyParams) -> tuple[SignedGraph, FamilyPrediction]:
@@ -335,90 +342,63 @@ class CampaignReport:
         return not self.violations and not self.upper_check["disagreements"]
 
 
-def _record_dict(g6: str, sg: SignedGraph, rec: InvariantRecord) -> dict:
-    out = {"graph6": g6,
-           "negatives": [list(e) for e in sg.negative_edges()]}
-    out.update(rec.to_json_dict())
-    return out
+def _scan_graph(g: Graph, emit_all: bool, acc: dict) -> None:
+    """Scan all signature representatives of one underlying graph into the
+    chunk accumulator ``acc``.
 
-
-def _scan_graph(g: Graph, emit_all: bool) -> dict:
-    """Scan all signature representatives of one underlying graph."""
-    n = g.n
-    m = matching_number(g)
-    c = cycle_space_dim(g)
-    lower = n - 2 * m - c
-    upper = n - 2 * m + 2 * c
+    The per-graph halves of the statements (bounds, disjoint cycles, the
+    contraction condition) are computed once; each signature adds only its
+    nullity and cycle signs. A record is built only when it is emitted,
+    breaks a law or disagrees with the predicate.
+    """
+    n, m, c = g.n, matching_number(g), cycle_space_dim(g)
+    lower, upper = _bounds(n, m, c)
     g6 = graph6_encode(g)
     connected = is_connected(g)
     disjoint, cycles = cycles_pairwise_vertex_disjoint(g)
-    tree_matched = False
-    if disjoint:
-        t = contract_cycles(g)
-        tree_matched = matching_number(t.tree) == matching_number(t.core)
-
-    by_s: dict[int, int] = {}
-    violations: list[dict] = []
-    disagreements: list[dict] = []
-    records: list[dict] = []
-    predicate_true = 0
-    agreements = 0
+    # the conditions of the upper-bound predicate that ignore the signs
+    sign_free = connected and disjoint and contraction_matched(contract_cycles(g))
+    by_s = acc["hist"].setdefault((n, c), {})
+    up = acc["upper"]
     sigs = 0
     for sg in enumerate_signatures(g):
+        # forest edges are pinned positive: only the first class is balanced
+        balanced = sigs == 0
         sigs += 1
         eta = nullity(sg)
         s = upper - eta
-        rec = InvariantRecord(n=n, m=m, c=c, eta=eta,
-                              balanced=is_balanced(sg).balanced,
-                              lower=lower, upper=upper, s=s)
         by_s[s] = by_s.get(s, 0) + 1
-        if not lower <= eta <= upper:
-            violations.append({"kind": "nullity bounds",
-                               **_record_dict(g6, sg, rec)})
-        if s == 1:
-            violations.append({"kind": "slack-one gap",
-                               **_record_dict(g6, sg, rec)})
+        broken = _broken_laws(eta, lower, upper)
+        predicate = sign_free and _signs_attain(sg, cycles)
+        agrees = not connected or predicate == (eta == upper)
         if connected:
-            predicate = True
-            if not disjoint or not tree_matched:
-                predicate = False
-            else:
-                assert cycles is not None
-                for cyc in cycles:
-                    q = len(cyc)
-                    sign = cycle_sign(sg, cyc)
-                    if not ((q % 4 == 0 and sign == 1)
-                            or (q % 4 == 2 and sign == -1)):
-                        predicate = False
-                        break
-            if predicate:
-                predicate_true += 1
-            if predicate == (eta == upper):
-                agreements += 1
-            else:
-                disagreements.append({"predicate": predicate,
-                                      **_record_dict(g6, sg, rec)})
-        if emit_all:
-            records.append(_record_dict(g6, sg, rec))
-    return {"graphs": 1, "signatures": sigs, "hist": {(n, c): by_s},
-            "violations": violations, "records": records,
-            "upper": {"tested": sigs if connected else 0,
-                      "predicate_true": predicate_true,
-                      "agreements": agreements,
-                      "disagreements": disagreements,
-                      "skipped_disconnected": 0 if connected else sigs}}
+            up["predicate_true"] += predicate
+            up["agreements"] += agrees
+        if broken or not agrees or emit_all:
+            rec = InvariantRecord(n=n, m=m, c=c, eta=eta, balanced=balanced,
+                                  lower=lower, upper=upper, s=s)
+            row = {"graph6": g6,
+                   "negatives": [list(e) for e in sg.negative_edges()],
+                   **rec.to_json_dict()}
+            acc["violations"].extend({"kind": kind, **row} for kind in broken)
+            if not agrees:
+                up["disagreements"].append({"predicate": predicate, **row})
+            if emit_all:
+                acc["records"].append(row)
+    acc["graphs"] += 1
+    acc["signatures"] += sigs
+    up["tested" if connected else "skipped_disconnected"] += sigs
 
 
 def _scan_chunk(args: tuple[tuple[Graph, ...], bool]) -> dict:
     graphs, emit_all = args
-    merged = {"graphs": 0, "signatures": 0, "hist": {}, "violations": [],
-              "records": [], "upper": {"tested": 0, "predicate_true": 0,
-                                       "agreements": 0, "disagreements": [],
-                                       "skipped_disconnected": 0}}
+    acc = {"graphs": 0, "signatures": 0, "hist": {}, "violations": [],
+           "records": [], "upper": {"tested": 0, "predicate_true": 0,
+                                    "agreements": 0, "disagreements": [],
+                                    "skipped_disconnected": 0}}
     for g in graphs:
-        part = _scan_graph(g, emit_all)
-        _merge_partial(merged, part)
-    return merged
+        _scan_graph(g, emit_all, acc)
+    return acc
 
 
 def _merge_partial(acc: dict, part: dict) -> None:
@@ -456,11 +436,7 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
     if source is None:
         # check the whole range before enumerating anything, so exceeding
         # the cap fails immediately instead of after the affordable part
-        limit = cap if cap is not None else effective_vertex_cap()
-        if n_max > limit:
-            raise CapacityError(
-                f"campaign is capped at {limit} vertices, got n_max={n_max} "
-                f"(set {CAPACITY_OVERRIDE_ENV} to override)")
+        check_vertex_cap(n_max, cap)
         for n in range(1, n_max + 1):
             graphs.extend(enumerate_connected(n, max_c=c_max, cap=cap))
     else:
@@ -470,17 +446,17 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
                 continue
             graphs.append(g)
 
-    merged = _scan_chunk(((), emit_all))
     if workers == 1 or len(graphs) <= 1:
-        _merge_partial(merged, _scan_chunk((tuple(graphs), emit_all)))
+        merged = _scan_chunk((tuple(graphs), emit_all))
     else:
         chunk_size = max(1, (len(graphs) + workers * 4 - 1) // (workers * 4))
         chunks = [tuple(graphs[i:i + chunk_size])
                   for i in range(0, len(graphs), chunk_size)]
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            for part in pool.map(_scan_chunk,
-                                 [(ch, emit_all) for ch in chunks]):
-                _merge_partial(merged, part)
+            merged, *rest = pool.map(_scan_chunk,
+                                     [(ch, emit_all) for ch in chunks])
+        for part in rest:
+            _merge_partial(merged, part)
 
     config = {"n_max": n_max, "c_max": c_max, "source": source_label,
               "emit_all": emit_all}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+import snlab.theorems
 from snlab import enumerate_connected, enumerate_signatures
 
 
@@ -59,3 +60,24 @@ def unicyclic_signed_upto_9(unicyclic_graphs_upto_9):
     for g in unicyclic_graphs_upto_9:
         out.extend(enumerate_signatures(g))
     return out
+
+
+# Wrong nullity values for three classes of the n <= 3 campaign, keyed by
+# (n, edge count, negative edge count):
+#   K2   bounds [0, 0], eta -1: below the bounds and at slack 1
+#   P3   bounds [1, 1], eta 3: above the bounds
+#   C3+  bounds [0, 3], eta 3: within the bounds but at the upper bound,
+#        which the predicate (odd cycle) denies
+WRONG_NULLITY = {(2, 1, 0): -1, (3, 2, 0): 3, (3, 3, 0): 3}
+
+
+@pytest.fixture
+def wrong_nullity(monkeypatch):
+    """Make the campaign see ``WRONG_NULLITY`` instead of the true values."""
+    real = snlab.theorems.nullity
+
+    def fake(sg):
+        key = (sg.n, len(sg.graph.edges), len(sg.negative_edges()))
+        return WRONG_NULLITY[key] if key in WRONG_NULLITY else real(sg)
+
+    monkeypatch.setattr(snlab.theorems, "nullity", fake)

@@ -140,6 +140,55 @@ class TestVerifyCommand:
                      "--out", str(tmp_path / "r.json")]) == 1
 
 
+class TestVerifyFailurePath:
+    def test_violations_exit_2_with_counterexamples(self, tmp_path, capsys,
+                                                    wrong_nullity):
+        out = tmp_path / "r.json"
+        assert main(["verify", "--n-max", "3", "--out", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert len(report["violations"]) == 3
+        cpath = tmp_path / "r.json.counterexamples.json"
+        rows = [json.loads(s) for s in cpath.read_text().splitlines()]
+        assert rows == (report["violations"]
+                        + report["upper_check"]["disagreements"])
+        assert [r.get("kind") for r in rows] == [
+            "nullity bounds", "slack-one gap", "nullity bounds",
+            None, None, None]
+        assert [r.get("predicate") for r in rows[3:]] == [True, True, False]
+        assert "6 violation(s)" in capsys.readouterr().err
+
+
+class TestNonAsciiInput:
+    """Non-ASCII bytes are a parse error (exit 4), never a traceback."""
+
+    def test_sgl_commands(self, tmp_path):
+        path = tmp_path / "bad.sgl"
+        path.write_bytes(b"2\n0 1 +\n\n3\n0 1 \xe2\x88\x92\n")
+        assert main(["invariants", str(path)]) == 4
+        assert main(["classify", str(path)]) == 4
+
+    def test_graph6_source(self, tmp_path):
+        src = tmp_path / "bad.g6"
+        src.write_bytes(b"A_\nD\xc3\xa9\n")
+        assert main(["verify", "--n-max", "6", "--source", f"graph6:{src}",
+                     "--out", str(tmp_path / "r.json")]) == 4
+
+
+class TestOptimizedMode:
+    def test_verify_output_identical_under_O(self, tmp_path):
+        """``python -O`` strips asserts; the checks and output must not
+        depend on them."""
+        for args in (["--n-max", "5"], ["--emit-all", "--n-max", "4"]):
+            outputs = []
+            for flags in ([], ["-O"]):
+                out = tmp_path / f"out{len(outputs)}"
+                subprocess.run([sys.executable, *flags, "-m", "snlab.cli",
+                                "verify", *args, "--out", str(out)],
+                               check=True, capture_output=True)
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1]
+
+
 class TestGenerateCommand:
     def test_table_and_file(self, tmp_path, capsys):
         out = tmp_path / "family.sgl"

@@ -127,6 +127,13 @@ class TestGraph6Files:
             list(read_graph6(str(path)))
         assert exc.value.line == 2
 
+    def test_non_ascii_bytes(self, tmp_path):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"A_\nB\xffw\n")
+        with pytest.raises(ParseError) as exc:
+            list(read_graph6(str(path)))
+        assert exc.value.line == 2
+
 
 class TestSglFormat:
     def test_exact_text(self):
@@ -191,3 +198,19 @@ class TestSglErrors:
     def test_duplicate_edge(self):
         with pytest.raises(ParseError):
             sgl_loads("3\n0 1 +\n0 1 -\n")
+
+    def test_non_ascii_digits(self):
+        # str.isdigit accepts these, int() rejects or converts them
+        with pytest.raises(ParseError) as exc:
+            sgl_loads("\u00b2\n")
+        assert exc.value.line == 1
+        with pytest.raises(ParseError) as exc:
+            sgl_loads("3\n0 \u0662 +\n")
+        assert exc.value.line == 2
+
+    def test_non_ascii_bytes_in_file(self, tmp_path):
+        path = tmp_path / "bad.sgl"
+        path.write_bytes(b"2\n0 1 +\n\n3\n0 1 +  # \xc3\xa9\n")
+        with pytest.raises(ParseError) as exc:
+            read_sgl(str(path))
+        assert exc.value.line == 5

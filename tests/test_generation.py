@@ -32,6 +32,7 @@ from snlab import (
     enumerate_connected,
     enumerate_signatures,
     girth,
+    is_balanced,
     is_connected,
     path_graph,
 )
@@ -169,6 +170,12 @@ class TestSignatureEnumeration:
         for g in graphs_upto_6:
             first = next(iter(enumerate_signatures(g)))
             assert all(s == 1 for _, _, s in first.signed_edges)
+
+    def test_only_first_is_balanced(self, graphs_upto_6):
+        """The campaign reads balance off the enumeration order."""
+        for g in graphs_upto_6:
+            flags = [is_balanced(sg).balanced for sg in enumerate_signatures(g)]
+            assert flags[0] and not any(flags[1:])
 
     def test_representatives_pairwise_inequivalent(self, graphs_upto_6):
         for g in graphs_upto_6:

@@ -219,6 +219,11 @@ class TestCharPoly:
         with pytest.raises(ValueError):
             char_poly_exact(((1, 2, 3), (4, 5, 6)))
 
+    def test_inexact_division_raises(self):
+        # integer matrices always divide exactly; a fractional entry does not
+        with pytest.raises(ArithmeticError):
+            char_poly_exact(((Fraction(1, 2),),))
+
 
 class TestZeroRootMultiplicity:
     def test_examples(self):

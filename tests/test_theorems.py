@@ -27,6 +27,7 @@ from snlab import (
     family_prediction,
     gap_scan,
     generate_family,
+    graph6_encode,
     induced_subgraph,
     invariant_record,
     matching_number,
@@ -353,3 +354,47 @@ class TestGapScan:
             gap_scan(0)
         with pytest.raises(ValueError):
             gap_scan(3, workers=0)
+
+
+class TestGapScanSingleSource:
+    """The campaign applies the same statements as the one-off queries."""
+
+    def test_records_equal_invariant_records(self, signed_upto_5):
+        report = gap_scan(5, emit_all=True)
+        assert len(report.records) == len(signed_upto_5)
+        for row, sg in zip(report.records, signed_upto_5):
+            assert row == {"graph6": graph6_encode(sg.graph),
+                           "negatives": [list(e) for e in sg.negative_edges()],
+                           **invariant_record(sg, check=False).to_json_dict()}
+
+    def test_predicate_count_equals_attains_upper(self, signed_upto_5):
+        report = gap_scan(5)
+        assert report.upper_check["predicate_true"] == sum(
+            attains_upper(sg) for sg in signed_upto_5)
+
+
+class TestGapScanFailurePath:
+    """Wrong nullity values (see ``conftest.WRONG_NULLITY``) must surface as
+    violations and disagreements carrying the full record, in scan order."""
+
+    def test_violations_and_disagreements(self, wrong_nullity):
+        report = gap_scan(3)
+        assert not report.clean
+        k2 = {"graph6": "A_", "negatives": [], "n": 2, "m": 1, "c": 0,
+              "eta": -1, "balanced": True, "lower": 0, "upper": 0, "s": 1}
+        # a c = 0 class at slack 1 is also outside the bounds: both kinds
+        assert report.violations[:2] == [{"kind": "nullity bounds", **k2},
+                                         {"kind": "slack-one gap", **k2}]
+        assert [(v["kind"], v["n"], v["c"], v["eta"])
+                for v in report.violations] == [
+            ("nullity bounds", 2, 0, -1), ("slack-one gap", 2, 0, -1),
+            ("nullity bounds", 3, 0, 3)]
+        assert [(d["predicate"], d["n"], d["c"], d["eta"], d["s"])
+                for d in report.upper_check["disagreements"]] == [
+            (True, 2, 0, -1, 1), (True, 3, 0, 3, -2), (False, 3, 1, 3, 0)]
+        assert report.upper_check["disagreements"][0] == {"predicate": True,
+                                                          **k2}
+        upper = report.upper_check
+        assert upper["tested"] == report.totals["signatures"] == 5
+        assert upper["agreements"] == 5 - 3
+        assert report.histogram[(2, 0)] == {1: 1}
