@@ -90,15 +90,16 @@ class BalanceResult:
     negative_cycle: Optional[Cycle]
 
 
-def _forest_signing(sg: SignedGraph) -> tuple[list[int], list[int]]:
-    """Per-vertex signs making forest edges positive, plus BFS parents."""
-    parent, order, _ = spanning_forest(sg.graph)
+def _forest_signing(sg: SignedGraph) -> tuple[list[int], list[int], set[Edge]]:
+    """Per-vertex signs making forest edges positive, plus the BFS parents
+    and forest edges."""
+    parent, order, tree = spanning_forest(sg.graph)
     mu = [1] * sg.n
     for v in order:
         p = parent[v]
         if p != -1:
             mu[v] = mu[p] * sg.sign(p, v)
-    return mu, parent
+    return mu, parent, tree
 
 
 def _fundamental_cycle(parent: list[int], u: int, v: int) -> Cycle:
@@ -128,9 +129,10 @@ def is_balanced(sg: SignedGraph) -> BalanceResult:
     The switching function then positivizes every edge; otherwise the
     disagreeing edge closes a fundamental cycle of sign -1.
     """
-    mu, parent = _forest_signing(sg)
-    for u, v in cotree_edges(sg.graph):
-        if mu[u] * mu[v] * sg.sign(u, v) == -1:
+    mu, parent, tree = _forest_signing(sg)
+    # signed_edges is sorted, so the non-forest edges come in cotree order
+    for u, v, s in sg.signed_edges:
+        if (u, v) not in tree and mu[u] * mu[v] * s == -1:
             return BalanceResult(False, None, _fundamental_cycle(parent, u, v))
     return BalanceResult(True, tuple(mu), None)
 
@@ -143,5 +145,5 @@ def canonical_signature(sg: SignedGraph) -> SignedGraph:
     sit on non-forest edges and encode exactly the signs of the fundamental
     cycles, which switching preserves.
     """
-    mu, _ = _forest_signing(sg)
+    mu, _, _ = _forest_signing(sg)
     return switch(sg, [v for v in range(sg.n) if mu[v] == -1])

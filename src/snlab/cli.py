@@ -120,7 +120,6 @@ def cmd_verify(args) -> int:
     elapsed = time.monotonic() - started
 
     if args.emit_all:
-        assert report.records is not None
         body = "".join(_dump_line(r) + "\n" for r in report.records)
     else:
         body = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"

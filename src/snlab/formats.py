@@ -51,6 +51,13 @@ def graph6_encode(g: Graph) -> str:
     return _g6_size_bytes(g.n) + "".join(chunks)
 
 
+def _g6_char(ch: str) -> str:
+    """A rejected character for an error message: a byte the reader decoded
+    to a lone surrogate is shown as that byte, e.g. ``0xc3``."""
+    code = ord(ch)
+    return f"0x{code - 0xDC00:02x}" if 0xDC80 <= code <= 0xDCFF else repr(ch)
+
+
 def graph6_decode(line: str, lineno: int | None = None) -> Graph:
     """Decode a single graph6 line."""
     s = line.strip()
@@ -68,20 +75,20 @@ def graph6_decode(line: str, lineno: int | None = None) -> Graph:
         for ch in s[1:4]:
             v = ord(ch) - 63
             if not 0 <= v <= 63:
-                raise ParseError(f"bad graph6 byte {ch!r}", lineno)
+                raise ParseError(f"bad graph6 byte {_g6_char(ch)}", lineno)
             n = (n << 6) | v
         pos = 4
     else:
         n = ord(s[0]) - 63
         if not 0 <= n <= 62:
-            raise ParseError(f"bad graph6 size byte {s[0]!r}", lineno)
+            raise ParseError(f"bad graph6 size byte {_g6_char(s[0])}", lineno)
         pos = 1
     need = n * (n - 1) // 2
     bits = []
     for ch in s[pos:]:
         v = ord(ch) - 63
         if not 0 <= v <= 63:
-            raise ParseError(f"bad graph6 byte {ch!r}", lineno)
+            raise ParseError(f"bad graph6 byte {_g6_char(ch)}", lineno)
         for k in range(5, -1, -1):
             bits.append((v >> k) & 1)
     if len(bits) < need or len(bits) >= need + 6:

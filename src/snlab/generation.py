@@ -83,7 +83,7 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
     blocks = [tuple(classes[c]) for c in sorted(classes)]
 
     best_bits: Optional[int] = None
-    best_order: Optional[tuple[int, ...]] = None
+    best_order: tuple[int, ...] = ()
     masks = [0] * g.n
     for u, v in g.edges:
         masks[u] |= 1 << v
@@ -105,8 +105,7 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
         if best_bits is None or bits < best_bits:
             best_bits = bits
             best_order = order
-    assert best_order is not None or g.n == 0
-    return best_order if best_order is not None else ()
+    return best_order
 
 
 def canonical_form(g: Graph) -> tuple[int, int]:

@@ -11,7 +11,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import StructureError
 
@@ -48,6 +48,61 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(tuple(sorted(b)) for b in nbrs)
+
+    @cached_property
+    def pendant_core(self) -> tuple[tuple[int, ...], int, int]:
+        """What is left after stripping pendant pairs: ``(pos, k, isolated)``.
+
+        Repeatedly deletes a degree-1 vertex together with its neighbour; a
+        vertex left without neighbours (or without any to begin with) is
+        deleted too and counted in ``isolated``. The ``k`` survivors form a
+        graph with no vertex of degree 0 or 1; ``pos[v]`` is the index of
+        ``v`` among them, or -1 when ``v`` was deleted. Signs play no part,
+        so one core serves every signature of the graph.
+        """
+        adj = self._adj
+        deg = [len(b) for b in adj]
+        alive = [True] * self.n
+        isolated = 0
+        todo = [v for v in range(self.n - 1, -1, -1) if deg[v] <= 1]
+        while todo:
+            u = todo.pop()
+            if not alive[u]:
+                continue
+            alive[u] = False
+            if deg[u] == 0:
+                isolated += 1
+                continue
+            v = next(w for w in adj[u] if alive[w])
+            alive[v] = False
+            for w in adj[v]:
+                if alive[w]:
+                    deg[w] -= 1
+                    if deg[w] <= 1:
+                        todo.append(w)
+        pos = [-1] * self.n
+        k = 0
+        for v in range(self.n):
+            if alive[v]:
+                pos[v] = k
+                k += 1
+        return tuple(pos), k, isolated
+
+    @cached_property
+    def _disjoint_cycles(self) -> Optional[tuple[Cycle, ...]]:
+        """The cycles sorted by vertices, or None when two share a vertex;
+        see :func:`cycles_pairwise_vertex_disjoint`."""
+        cycles = []
+        seen: set[int] = set()
+        for b in blocks(self):
+            if len(b.edges) == 1:
+                continue
+            if len(b.edges) != len(b.vertices) or seen & b.vertices:
+                return None
+            seen |= b.vertices
+            cycles.append(_block_cycle(b))
+        cycles.sort(key=lambda c: c.vertices)
+        return tuple(cycles)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -366,21 +421,11 @@ def cycles_pairwise_vertex_disjoint(g: Graph):
     vertex lying in two cycle blocks (cycle blocks may still meet at cut
     vertices otherwise). Returns ``(True, cycles)`` with one :class:`Cycle`
     per cycle block (their count then equals the cycle-space dimension), or
-    ``(False, None)``.
+    ``(False, None)``. The decomposition is computed once per graph; each
+    call returns a fresh list.
     """
-    cycles = []
-    seen: set[int] = set()
-    for b in blocks(g):
-        if len(b.edges) == 1:
-            continue
-        if len(b.edges) != len(b.vertices):
-            return False, None
-        if seen & b.vertices:
-            return False, None
-        seen |= b.vertices
-        cycles.append(_block_cycle(b))
-    cycles.sort(key=lambda c: c.vertices)
-    return True, cycles
+    cycles = g._disjoint_cycles
+    return (False, None) if cycles is None else (True, list(cycles))
 
 
 def _block_cycle(b: Block) -> Cycle:

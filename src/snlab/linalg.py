@@ -4,6 +4,9 @@ Rank (hence nullity) comes from fraction-free Gaussian elimination; the
 characteristic polynomial from the Faddeev-LeVerrier recurrence, whose
 divisions are exact over the integers by Newton's identities. No floats
 anywhere, so eigenvalue-multiplicity questions never hit rounding.
+``nullity`` strips pendant pairs before elimination: a pendant vertex and
+its neighbour never change the nullity, so only the pendant-free core of
+the graph reaches Bareiss.
 
 The module also enumerates basic subgraphs (disjoint unions of single edges
 and cycles) and evaluates the signed coefficient sum over them, giving a
@@ -64,8 +67,22 @@ def rank_exact(m: IntMatrix) -> int:
 
 
 def nullity(sg: SignedGraph) -> int:
-    """Multiplicity of the eigenvalue zero of the signed adjacency matrix."""
-    return sg.n - rank_exact(signed_adjacency(sg))
+    """Multiplicity of the eigenvalue zero of the signed adjacency matrix.
+
+    Bareiss runs only on the graph's pendant core (:attr:`Graph.pendant_core`,
+    computed once per underlying graph). Proof: the row of a pendant vertex
+    u is +-e_v for its neighbour v, and column u likewise, so clearing row
+    and column v with them leaves the 2x2 block of u, v beside the matrix of
+    G - u - v; the rank drops by exactly 2 per pair, whatever the signs, and
+    an isolated vertex is a zero row that adds 1 to the nullity.
+    """
+    pos, k, isolated = sg.graph.pendant_core
+    rows = [[0] * k for _ in range(k)]
+    for u, v, s in sg.signed_edges:
+        i, j = pos[u], pos[v]
+        if i >= 0 and j >= 0:
+            rows[i][j] = rows[j][i] = s
+    return isolated + k - rank_exact(rows)
 
 
 def char_poly_exact(m: IntMatrix, cap: int = CHAR_POLY_VERTEX_CAP) -> tuple[int, ...]:

@@ -238,9 +238,9 @@ def unique_cycle(g: Graph) -> Cycle:
     """The single cycle of a connected unicyclic graph."""
     if not is_connected(g) or cycle_space_dim(g) != 1:
         raise StructureError("expected a connected graph with exactly one cycle")
-    ok, cycles = cycles_pairwise_vertex_disjoint(g)
-    assert ok and cycles is not None and len(cycles) == 1
-    return cycles[0]
+    # connected with cycle-space dimension 1: exactly one cycle block
+    _, (cycle,) = cycles_pairwise_vertex_disjoint(g)
+    return cycle
 
 
 @dataclass(frozen=True)

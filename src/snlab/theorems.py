@@ -280,10 +280,8 @@ def generate_family(p: FamilyParams) -> tuple[SignedGraph, FamilyPrediction]:
         signs[(w, w + 1)] = 1
         ring(tuple(range(w + 1, w + 5)), negative_first=False)
 
-    pred = family_prediction(p)
-    assert nxt == pred.n
-    g = Graph(pred.n, frozenset(signs))
-    return SignedGraph.with_signs(g, signs), pred
+    g = Graph(nxt, frozenset(signs))
+    return SignedGraph.with_signs(g, signs), family_prediction(p)
 
 
 def slack_coverage(c: int) -> dict[int, FamilyParams]:
@@ -302,8 +300,6 @@ def slack_coverage(c: int) -> dict[int, FamilyParams]:
             s = 3 * l1 + 2 * l3
             if s not in out:
                 out[s] = FamilyParams(l1, c - l1 - l3, l3)
-    expected = set(range(3 * c + 1)) - {1}
-    assert set(out) == expected
     return dict(sorted(out.items()))
 
 

@@ -29,7 +29,7 @@ from snlab import (
     spanning_forest,
     switch,
 )
-from conftest import connected_graphs_upto, signed_sweep
+from conftest import connected_graphs_upto
 
 
 def all_cycles(g: Graph):

@@ -133,6 +133,15 @@ class TestGraph6Files:
         with pytest.raises(ParseError) as exc:
             list(read_graph6(str(path)))
         assert exc.value.line == 2
+        assert str(exc.value) == "line 2: bad graph6 byte 0xff"
+        path.write_bytes(b"A_\nA_\nD\xc3\xa9\n")
+        with pytest.raises(ParseError) as exc:
+            list(read_graph6(str(path)))
+        assert str(exc.value) == "line 3: bad graph6 byte 0xc3"
+        path.write_bytes(b"\xc3\n")
+        with pytest.raises(ParseError) as exc:
+            list(read_graph6(str(path)))
+        assert str(exc.value) == "line 1: bad graph6 size byte 0xc3"
 
 
 class TestSglFormat:

@@ -167,6 +167,13 @@ class TestDisjointCycles:
         ok, cycles = cycles_pairwise_vertex_disjoint(star_graph(4))
         assert ok and cycles == []
 
+    def test_each_call_returns_a_fresh_list(self):
+        g = disjoint_union(cycle_graph(3), cycle_graph(4))
+        _, first = cycles_pairwise_vertex_disjoint(g)
+        first.clear()
+        _, again = cycles_pairwise_vertex_disjoint(g)
+        assert [len(c) for c in again] == [3, 4]
+
     def test_count_equals_dimension_when_disjoint(self):
         for g in connected_graphs_upto(6):
             ok, cycles = cycles_pairwise_vertex_disjoint(g)
@@ -175,6 +182,52 @@ class TestDisjointCycles:
                 assert all(is_cycle_of(g, c) for c in cycles)
                 covered = [v for c in cycles for v in c.vertices]
                 assert len(covered) == len(set(covered))
+
+
+class TestPendantCore:
+    def test_paths(self):
+        # P4 is two pendant pairs; P5 leaves its last vertex isolated
+        assert path_graph(4).pendant_core == ((-1,) * 4, 0, 0)
+        assert path_graph(5).pendant_core == ((-1,) * 5, 0, 1)
+
+    def test_star(self):
+        # one pair (a leaf and the centre), then the other leaves are isolated
+        assert star_graph(4).pendant_core == ((-1,) * 5, 0, 3)
+
+    def test_cycles_with_tails(self):
+        # a triangle 0,1,2 with the tail 2-3-4: the tail goes, the triangle stays
+        g = Graph(5, frozenset([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]))
+        assert g.pendant_core == ((0, 1, 2, -1, -1), 3, 0)
+        # a square 0,1,2,3 with the pendant 4 at 0: the square collapses to 1
+        g = Graph(5, frozenset([(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)]))
+        assert g.pendant_core == ((-1,) * 5, 0, 1)
+        # a square with tails of lengths 2 and 4: the even tails go, the
+        # square stays
+        g = Graph(10, cycle_graph(4).edges | {(0, 4), (4, 5), (2, 6), (6, 7),
+                                              (7, 8), (8, 9)})
+        assert g.pendant_core == ((0, 1, 2, 3) + (-1,) * 6, 4, 0)
+        # a hexagon with one-edge tails at 0 and 3 unravels completely
+        g = Graph(8, cycle_graph(6).edges | {(0, 6), (3, 7)})
+        assert g.pendant_core == ((-1,) * 8, 0, 0)
+
+    def test_no_pendant_vertex(self):
+        for g in (cycle_graph(5), complete_graph(4), theta_graph()):
+            assert g.pendant_core == (tuple(range(g.n)), g.n, 0)
+
+    def test_trivial_graphs(self):
+        assert Graph(0).pendant_core == ((), 0, 0)
+        assert Graph(1).pendant_core == ((-1,), 0, 1)
+        assert Graph(3).pendant_core == ((-1,) * 3, 0, 3)
+
+    def test_core_has_no_vertex_of_degree_below_two(self):
+        for g in connected_graphs_upto(6):
+            pos, k, isolated = g.pendant_core
+            kept = [v for v in range(g.n) if pos[v] >= 0]
+            assert [pos[v] for v in kept] == list(range(k))
+            core, _ = induced_subgraph(g, kept)
+            assert all(core.degree(v) >= 2 for v in range(k))
+            # deleted vertices come in pendant pairs, plus the isolated ones
+            assert (g.n - k - isolated) % 2 == 0
 
 
 class TestContraction:

@@ -25,6 +25,7 @@ from snlab import (
     connected_components,
     cycle_graph,
     delete_vertices,
+    disjoint_union,
     enumerate_basic_subgraphs,
     nullity,
     path_graph,
@@ -163,6 +164,57 @@ class TestRank:
         assert nullity(SignedGraph.with_negatives(c6, [(0, 1)])) == 2
         assert nullity(SignedGraph.all_positive(path_graph(4))) == 0
         assert nullity(SignedGraph.all_positive(path_graph(5))) == 1
+
+
+class TestPendantReducedNullity:
+    """``nullity`` eliminates only the pendant core; elimination of the
+    whole matrix is the reference."""
+
+    @staticmethod
+    def full_matrix_nullity(sg: SignedGraph) -> int:
+        return sg.n - rank_exact(signed_adjacency(sg))
+
+    @staticmethod
+    def random_signed(rng: random.Random, n: int, edges) -> SignedGraph:
+        return SignedGraph(Graph(n, frozenset(edges)),
+                           tuple((u, v, rng.choice((1, -1))) for u, v in edges))
+
+    def test_every_class_upto_6(self, signed_upto_6):
+        for sg in signed_upto_6:
+            assert nullity(sg) == self.full_matrix_nullity(sg)
+
+    def test_random_connected_12_to_48(self):
+        rng = random.Random(48)
+        for n in range(12, 49):
+            for c in range(7):
+                # a random tree plus c further edges, randomly relabeled
+                label = list(range(n))
+                rng.shuffle(label)
+                edges = {tuple(sorted((label[v], label[rng.randrange(v)])))
+                         for v in range(1, n)}
+                while len(edges) < n - 1 + c:
+                    u, v = sorted(rng.sample(range(n), 2))
+                    edges.add((u, v))
+                sg = self.random_signed(rng, n, edges)
+                assert nullity(sg) == self.full_matrix_nullity(sg)
+
+    def test_random_disconnected_with_isolated_vertices(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randrange(2, 14)
+            density = rng.random() * 0.4
+            edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                     if rng.random() < density]
+            sg = self.random_signed(rng, n, edges)
+            assert nullity(sg) == self.full_matrix_nullity(sg)
+        lonely = SignedGraph.with_negatives(
+            disjoint_union(path_graph(3), Graph(2)), [(0, 1)])
+        assert lonely.graph.pendant_core[2] == 3
+        assert nullity(lonely) == self.full_matrix_nullity(lonely) == 3
+
+    def test_zero_and_one_vertex(self):
+        assert nullity(SignedGraph.all_positive(Graph(0))) == 0
+        assert nullity(SignedGraph.all_positive(Graph(1))) == 1
 
 
 class TestCharPoly:

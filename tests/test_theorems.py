@@ -30,7 +30,6 @@ from snlab import (
     graph6_encode,
     induced_subgraph,
     invariant_record,
-    matching_number,
     nullity,
     path_graph,
     pendant_reduction,
