@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 
 from .errors import CapacityError, ParseError, TheoremViolation
 from .formats import read_graph6, read_sgl, write_sgl
-from .generation import effective_vertex_cap
 from .linalg import (SACHS_VERTEX_CAP, char_poly_exact, nullity,
                      sachs_coefficients, signed_adjacency)
 from .matching import matching_number
@@ -116,7 +115,7 @@ def cmd_verify(args) -> int:
     started = time.monotonic()
     report = gap_scan(n_max=args.n_max, c_max=args.c_max, source=source,
                       source_label=label, workers=args.workers,
-                      emit_all=args.emit_all, cap=effective_vertex_cap())
+                      emit_all=args.emit_all)
     elapsed = time.monotonic() - started
 
     if args.emit_all:
@@ -236,6 +235,8 @@ def _build_parser() -> _Parser:
 def _validate(args) -> None:
     if getattr(args, "n_max", None) is not None and args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
+    if getattr(args, "c_max", None) is not None and args.c_max < 0:
+        raise UsageError("--c-max must be nonnegative")
     if getattr(args, "workers", None) is not None and args.workers < 1:
         raise UsageError("--workers must be at least 1")
     src = getattr(args, "source", None)

@@ -84,26 +84,19 @@ def graph6_decode(line: str, lineno: int | None = None) -> Graph:
             raise ParseError(f"bad graph6 size byte {_g6_char(s[0])}", lineno)
         pos = 1
     need = n * (n - 1) // 2
-    bits = []
+    data = 0
     for ch in s[pos:]:
         v = ord(ch) - 63
         if not 0 <= v <= 63:
             raise ParseError(f"bad graph6 byte {_g6_char(ch)}", lineno)
-        for k in range(5, -1, -1):
-            bits.append((v >> k) & 1)
-    if len(bits) < need or len(bits) >= need + 6:
+        data = (data << 6) | v
+    pad = 6 * (len(s) - pos) - need
+    if not 0 <= pad < 6:
         raise ParseError(
-            f"graph6 record has {len(bits)} data bits, expected {need}", lineno)
-    if any(bits[need:]):
+            f"graph6 record has {need + pad} data bits, expected {need}", lineno)
+    if data & ((1 << pad) - 1):
         raise ParseError("nonzero padding bits in graph6 record", lineno)
-    edges = set()
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.add((i, j))
-            k += 1
-    return Graph(n, frozenset(edges))
+    return Graph.from_bits(n, data >> pad)
 
 
 def read_graph6(path: str) -> Iterator[Graph]:

@@ -3,10 +3,11 @@
 Connected graphs are generated up to isomorphism by vertex augmentation:
 every connected graph on k >= 2 vertices has a non-cut vertex, so it arises
 from a connected graph on k-1 vertices by attaching a new vertex to a
-nonempty neighbor set. Duplicates are removed with a canonical form
+nonempty neighbor set. Each child is searched once for its canonical form
 (minimum adjacency bitstring over label permutations, restricted to
-color-refinement classes). Deleting a non-cut vertex never increases the
-cycle-space dimension, so a dimension cap may prune at every level.
+color-refinement classes); the catalog is the set of these forms, each
+decoded once. Deleting a non-cut vertex never increases the cycle-space
+dimension, so a dimension cap may prune at every level.
 
 Signatures are enumerated one per switching class: fixing a spanning
 forest, every class has exactly one representative with all forest edges
@@ -73,17 +74,19 @@ def _refine_colors(g: Graph) -> list[int]:
         colors = new
 
 
-def canonical_permutation(g: Graph) -> tuple[int, ...]:
-    """Relabeling ``order`` (position -> original vertex) minimizing the
-    adjacency bitstring, among permutations preserving refinement classes."""
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """Isomorphism-invariant key ``(n, bits)``; equal iff isomorphic.
+
+    ``bits`` is the least adjacency bitstring (the upper triangle in
+    :meth:`Graph.from_bits` order) over the relabelings that preserve the
+    refinement classes, so ``Graph.from_bits(*canonical_form(g))`` is the
+    canonically labeled copy of ``g``.
+    """
     colors = _refine_colors(g)
     classes: dict[int, list[int]] = {}
     for v in range(g.n):
         classes.setdefault(colors[v], []).append(v)
     blocks = [tuple(classes[c]) for c in sorted(classes)]
-
-    best_bits: Optional[int] = None
-    best_order: tuple[int, ...] = ()
     masks = [0] * g.n
     for u, v in g.edges:
         masks[u] |= 1 << v
@@ -96,34 +99,20 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
         for perm in permutations(blocks[i]):
             yield from all_orders(i + 1, acc + perm)
 
-    for order in all_orders(0, ()):
+    def bits_of(order: tuple[int, ...]) -> int:
         bits = 0
         for j in range(1, g.n):
             oj = order[j]
             for i in range(j):
                 bits = (bits << 1) | ((masks[order[i]] >> oj) & 1)
-        if best_bits is None or bits < best_bits:
-            best_bits = bits
-            best_order = order
-    return best_order
+        return bits
 
-
-def canonical_form(g: Graph) -> tuple[int, int]:
-    """Isomorphism-invariant key ``(n, bits)``; equal iff isomorphic."""
-    order = canonical_permutation(g)
-    bits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            bits = (bits << 1) | (1 if g.has_edge(order[i], order[j]) else 0)
-    return g.n, bits
+    return g.n, min(map(bits_of, all_orders(0, ())))
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The representative of ``g``'s isomorphism class."""
-    order = canonical_permutation(g)
-    pos = {v: i for i, v in enumerate(order)}
-    return Graph(g.n, frozenset(
-        (min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in g.edges))
+    return Graph.from_bits(*canonical_form(g))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +127,7 @@ def _connected_catalog(n: int, max_c: Optional[int]) -> tuple[Graph, ...]:
         return ()
     if n == 1:
         return (Graph(1, frozenset()),)
-    seen: dict[tuple[int, int], Graph] = {}
+    forms: set[tuple[int, int]] = set()
     for parent in _connected_catalog(n - 1, max_c):
         pc = cycle_space_dim(parent)
         budget = None if max_c is None else max_c - pc + 1
@@ -146,11 +135,9 @@ def _connected_catalog(n: int, max_c: Optional[int]) -> tuple[Graph, ...]:
             if budget is not None and size > budget:
                 break
             for nbrs in combinations(range(n - 1), size):
-                child = Graph(n, frozenset(parent.edges) | {(v, n - 1) for v in nbrs})
-                key = canonical_form(child)
-                if key not in seen:
-                    seen[key] = canonical_graph(child)
-    return tuple(seen[k] for k in sorted(seen))
+                forms.add(canonical_form(
+                    Graph(n, parent.edges | {(v, n - 1) for v in nbrs})))
+    return tuple(Graph.from_bits(*form) for form in sorted(forms))
 
 
 def enumerate_connected(n: int, max_c: Optional[int] = None,
@@ -166,6 +153,8 @@ def enumerate_connected(n: int, max_c: Optional[int] = None,
     """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
+    if max_c is not None and max_c < 0:
+        raise ValueError(f"max_c must be nonnegative, got {max_c}")
     check_vertex_cap(n, cap)
     eff_max_c = 1 if unicyclic_only else max_c
     for g in _connected_catalog(n, eff_max_c):

@@ -41,6 +41,22 @@ class Graph:
             norm.add(_norm_edge(u, v))
         object.__setattr__(self, "edges", frozenset(norm))
 
+    @classmethod
+    def from_bits(cls, n: int, bits: int) -> "Graph":
+        """The graph whose upper triangle, read column by column ((0,1),
+        (0,2), (1,2), (0,3), ...) with the first pair as the most
+        significant bit, is ``bits``; this is graph6's order."""
+        k = n * (n - 1) // 2
+        if not 0 <= bits < 1 << k:
+            raise ValueError(f"{bits} does not fit the {k} pairs of {n} vertices")
+        edges = []
+        for j in range(1, n):
+            for i in range(j):
+                k -= 1
+                if (bits >> k) & 1:
+                    edges.append((i, j))
+        return cls(n, frozenset(edges))
+
     @cached_property
     def _adj(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
@@ -48,6 +64,27 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(tuple(sorted(b)) for b in nbrs)
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """See :func:`connected_components`; one BFS per graph."""
+        seen = [False] * self.n
+        comps = []
+        for src in range(self.n):
+            if seen[src]:
+                continue
+            seen[src] = True
+            comp = [src]
+            q = deque([src])
+            while q:
+                v = q.popleft()
+                for w in self._adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+                        q.append(w)
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
 
     @cached_property
     def pendant_core(self) -> tuple[tuple[int, ...], int, int]:
@@ -232,10 +269,6 @@ class ContractionTree:
     cyclic_vertices: frozenset[int]
     origin: tuple[Union[int, Cycle], ...]
 
-    @property
-    def acyclic_vertices(self) -> frozenset[int]:
-        return frozenset(range(self.tree.n)) - self.cyclic_vertices
-
     @cached_property
     def core(self) -> Graph:
         """The tree with all cyclic vertices deleted (densely relabeled)."""
@@ -298,37 +331,22 @@ def delete_vertices(g, vs: Iterable[int]):
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted, ordered by
-    smallest member."""
-    seen = [False] * g.n
-    comps = []
-    for src in range(g.n):
-        if seen[src]:
-            continue
-        seen[src] = True
-        comp = [src]
-        q = deque([src])
-        while q:
-            v = q.popleft()
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    q.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    smallest member. Computed once per graph; each call returns a fresh
+    list."""
+    return list(g._components)
 
 
 def num_components(g: Graph) -> int:
-    return len(connected_components(g))
+    return len(g._components)
 
 
 def is_connected(g: Graph) -> bool:
-    return num_components(g) == 1
+    return len(g._components) == 1
 
 
 def cycle_space_dim(g: Graph) -> int:
     """Dimension of the cycle space: |E| - |V| + number of components."""
-    return len(g.edges) - g.n + num_components(g)
+    return len(g.edges) - g.n + len(g._components)
 
 
 def pendant_vertices(g: Graph) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .graphs import Cycle, Edge, Graph, SignedGraph
+from .graphs import Cycle, Edge, SignedGraph
 
 IntMatrix = tuple[tuple[int, ...], ...]
 

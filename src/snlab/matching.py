@@ -194,26 +194,12 @@ def _check_brute_cap(g: Graph) -> None:
 
 def brute_force_max_matching(g: Graph) -> Matching:
     """Exhaustive maximum matching; independent of the blossom code."""
-    _check_brute_cap(g)
-    best: tuple[Edge, ...] = ()
-    for m in _all_matchings(g):
-        if len(m) > len(best) or (len(m) == len(best) and m < best):
-            best = m
-    return Matching(best)
+    return Matching(enumerate_maximum_matchings(g)[0])
 
 
 def count_maximum_matchings(g: Graph) -> int:
     """Number of maximum matchings, by exhaustive enumeration."""
-    _check_brute_cap(g)
-    best = 0
-    count = 0
-    for m in _all_matchings(g):
-        if len(m) > best:
-            best = len(m)
-            count = 1
-        elif len(m) == best:
-            count += 1
-    return count
+    return len(enumerate_maximum_matchings(g))
 
 
 def enumerate_maximum_matchings(g: Graph) -> list[tuple[Edge, ...]]:

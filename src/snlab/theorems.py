@@ -342,18 +342,14 @@ def _scan_graph(g: Graph, emit_all: bool, acc: dict) -> None:
     """Scan all signature representatives of one underlying graph into the
     chunk accumulator ``acc``.
 
-    The per-graph halves of the statements (bounds, disjoint cycles, the
-    contraction condition) are computed once; each signature adds only its
-    nullity and cycle signs. A record is built only when it is emitted,
-    breaks a law or disagrees with the predicate.
+    The bounds are computed once per graph; each signature adds its nullity
+    and, on a connected graph, the upper-bound predicate. A record is built
+    only when it is emitted, breaks a law or disagrees with the predicate.
     """
     n, m, c = g.n, matching_number(g), cycle_space_dim(g)
     lower, upper = _bounds(n, m, c)
     g6 = graph6_encode(g)
     connected = is_connected(g)
-    disjoint, cycles = cycles_pairwise_vertex_disjoint(g)
-    # the conditions of the upper-bound predicate that ignore the signs
-    sign_free = connected and disjoint and contraction_matched(contract_cycles(g))
     by_s = acc["hist"].setdefault((n, c), {})
     up = acc["upper"]
     sigs = 0
@@ -365,7 +361,7 @@ def _scan_graph(g: Graph, emit_all: bool, acc: dict) -> None:
         s = upper - eta
         by_s[s] = by_s.get(s, 0) + 1
         broken = _broken_laws(eta, lower, upper)
-        predicate = sign_free and _signs_attain(sg, cycles)
+        predicate = connected and attains_upper(sg)
         agrees = not connected or predicate == (eta == upper)
         if connected:
             up["predicate_true"] += predicate
@@ -414,7 +410,7 @@ def _merge_partial(acc: dict, part: dict) -> None:
 def gap_scan(n_max: int, c_max: Optional[int] = None,
              source: Optional[Iterable[Graph]] = None,
              source_label: str = "internal", workers: int = 1,
-             emit_all: bool = False, cap: Optional[int] = None) -> CampaignReport:
+             emit_all: bool = False) -> CampaignReport:
     """Sweep every (graph, signature) pair and test all statements at once.
 
     With no ``source``, all connected graphs with 1..n_max vertices are
@@ -427,14 +423,16 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if c_max is not None and c_max < 0:
+        raise ValueError(f"c_max must be nonnegative, got {c_max}")
     graphs: list[Graph] = []
     skipped = 0
     if source is None:
         # check the whole range before enumerating anything, so exceeding
         # the cap fails immediately instead of after the affordable part
-        check_vertex_cap(n_max, cap)
+        check_vertex_cap(n_max)
         for n in range(1, n_max + 1):
-            graphs.extend(enumerate_connected(n, max_c=c_max, cap=cap))
+            graphs.extend(enumerate_connected(n, max_c=c_max))
     else:
         for g in source:
             if g.n > n_max or (c_max is not None and cycle_space_dim(g) > c_max):
@@ -448,7 +446,8 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
         chunk_size = max(1, (len(graphs) + workers * 4 - 1) // (workers * 4))
         chunks = [tuple(graphs[i:i + chunk_size])
                   for i in range(0, len(graphs), chunk_size)]
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+        with multiprocessing.get_context("fork").Pool(
+                min(workers, len(chunks))) as pool:
             merged, *rest = pool.map(_scan_chunk,
                                      [(ch, emit_all) for ch in chunks])
         for part in rest:

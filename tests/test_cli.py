@@ -7,6 +7,7 @@ console script to check the entry point wiring.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -138,6 +139,32 @@ class TestVerifyCommand:
     def test_bad_n_max(self, tmp_path):
         assert main(["verify", "--n-max", "0",
                      "--out", str(tmp_path / "r.json")]) == 1
+
+    def test_negative_c_max(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["verify", "--n-max", "4", "--c-max", "-1",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "--c-max" in capsys.readouterr().err
+
+
+class TestReportBytes:
+    """The campaign's bytes are a contract: enumeration order, record
+    fields and serialization all show in these digests."""
+
+    def digest(self, tmp_path, *args):
+        out = tmp_path / "out"
+        assert main(["verify", "--n-max", "6", *args, "--out", str(out)]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_report(self, tmp_path):
+        assert self.digest(tmp_path) == (
+            "3a0b7bc3a166d660c2193fb983dac9bcb2abc2c1547895ea8785ff2b8a31f66e")
+
+    def test_emit_all_for_one_and_two_workers(self, tmp_path):
+        for workers in ("1", "2"):
+            assert self.digest(tmp_path, "--emit-all", "--workers", workers) == (
+                "1547b9d4b171f07c7484df770c16c74eaf3a9917f37aa8e60ef2a39b7d91a2f4")
 
 
 class TestVerifyFailurePath:

@@ -90,6 +90,13 @@ class TestConnectedCatalog:
             forms = [canonical_form(g) for g in enumerate_connected(n)]
             assert len(set(forms)) == len(forms)
 
+    def test_canonical_and_in_increasing_form_order(self):
+        for n in range(1, 7):
+            catalog = list(enumerate_connected(n))
+            assert all(canonical_graph(g) == g for g in catalog)
+            forms = [canonical_form(g) for g in catalog]
+            assert all(a < b for a, b in zip(forms, forms[1:]))
+
     def test_all_connected_right_order(self):
         for n in range(1, 7):
             for g in enumerate_connected(n):
@@ -127,6 +134,11 @@ class TestConnectedCatalog:
             list(enumerate_connected(0))
         with pytest.raises(CapacityError):
             list(enumerate_connected(ENUMERATION_VERTEX_CAP + 1))
+
+    def test_rejects_negative_max_c(self):
+        for n in (1, 4):
+            with pytest.raises(ValueError):
+                list(enumerate_connected(n, max_c=-1))
 
     def test_explicit_cap_param(self):
         got = [g.n for g in enumerate_connected(9, unicyclic_only=True, cap=9)]

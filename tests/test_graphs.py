@@ -8,7 +8,7 @@ import pytest
 from snlab import (Cycle, Graph, PendantType, SignedGraph, blocks, complete_graph,
                    connected_components, contract_cycles, cycle_graph,
                    cycle_space_dim, cycles_pairwise_vertex_disjoint, delete_vertices,
-                   disjoint_union, girth, induced_subgraph, is_connected,
+                   disjoint_union, girth, graph6_encode, induced_subgraph, is_connected,
                    num_components, path_graph, pendant_type, pendant_vertices,
                    star_graph, vertices_on_cycles)
 from snlab.errors import StructureError
@@ -67,6 +67,35 @@ class TestConstruction:
             Cycle((0, 1, 1))
 
 
+class TestFromBits:
+    """Pairs (0,1), (0,2), (1,2), (0,3), ... with the first pair as the most
+    significant bit."""
+
+    def test_known_values(self):
+        assert Graph.from_bits(2, 0b1) == path_graph(2)
+        assert Graph.from_bits(3, 0b101) == Graph(3, frozenset({(0, 1), (1, 2)}))
+        assert Graph.from_bits(3, 0b011) == Graph(3, frozenset({(0, 2), (1, 2)}))
+        assert Graph.from_bits(4, 0b000111) == Graph(
+            4, frozenset({(0, 3), (1, 3), (2, 3)}))
+        assert Graph.from_bits(4, 0b111111) == complete_graph(4)
+
+    def test_trivial_graphs(self):
+        assert Graph.from_bits(0, 0) == Graph(0)
+        assert Graph.from_bits(1, 0) == Graph(1)
+
+    def test_rejects_bits_outside_the_triangle(self):
+        for n, bits in ((0, 1), (1, 1), (3, 8), (3, -1)):
+            with pytest.raises(ValueError):
+                Graph.from_bits(n, bits)
+
+    def test_graph6_order(self):
+        # graph6_encode packs the same pairs in the same order, padded to 12
+        for bits in range(1 << 10):
+            data = bits << 2
+            want = "D" + chr((data >> 6) + 63) + chr((data & 63) + 63)
+            assert graph6_encode(Graph.from_bits(5, bits)) == want
+
+
 class TestSubgraphs:
     def test_induced_path_endpoints(self):
         sub, relabel = induced_subgraph(path_graph(3), [0, 2])
@@ -106,6 +135,12 @@ class TestComponentsAndCycleSpace:
         g = disjoint_union(cycle_graph(3), path_graph(2))
         assert num_components(g) == 2
         assert connected_components(g) == [(0, 1, 2), (3, 4)]
+
+    def test_each_call_returns_a_fresh_list(self):
+        g = disjoint_union(cycle_graph(3), path_graph(2))
+        connected_components(g).append((9,))
+        assert connected_components(g) == [(0, 1, 2), (3, 4)]
+        assert num_components(g) == 2 and not is_connected(g)
 
     def test_empty_graph_components(self):
         assert num_components(Graph(4, frozenset())) == 4

@@ -9,6 +9,8 @@ and error paths.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from snlab import (
@@ -353,6 +355,42 @@ class TestGapScan:
             gap_scan(0)
         with pytest.raises(ValueError):
             gap_scan(3, workers=0)
+
+    def test_negative_c_max_rejected_for_both_sources(self):
+        with pytest.raises(ValueError):
+            gap_scan(4, c_max=-1)
+        with pytest.raises(ValueError):
+            gap_scan(4, c_max=-1, source=[path_graph(1)])
+
+    def test_no_more_pool_processes_than_chunks(self, monkeypatch):
+        """A fake pool records its size and maps in-process, so no process
+        is started."""
+        sizes, chunks = [], []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                chunks.extend(items)
+                return [fn(item) for item in items]
+
+        class FakeContext:
+            Pool = FakePool
+
+        one = gap_scan(3, workers=1, emit_all=True)
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: FakeContext)
+        many = gap_scan(3, workers=16, emit_all=True)
+        assert sizes == [len(chunks)] == [4]
+        assert many.to_json_dict() == one.to_json_dict()
+        assert many.records == one.records
 
 
 class TestGapScanSingleSource:
