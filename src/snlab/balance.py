@@ -9,9 +9,8 @@ that makes everything positive, or a concrete negative cycle.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Cycle, Edge, Graph, SignedGraph, is_cycle_of
 
@@ -33,9 +32,9 @@ def switch(sg: SignedGraph, flip: Iterable[int]) -> SignedGraph:
     for v in inside:
         if not (0 <= v < sg.n):
             raise ValueError(f"vertex {v} out of range for n={sg.n}")
-    return SignedGraph(sg.graph, tuple(
-        (u, v, -s if (u in inside) != (v in inside) else s)
-        for u, v, s in sg.signed_edges))
+    cut = frozenset((u, v) for u, v in sg.graph.edges
+                    if (u in inside) != (v in inside))
+    return SignedGraph(sg.graph, sg.negatives ^ cut)
 
 
 def spanning_forest(g: Graph) -> tuple[list[int], list[int], set[Edge]]:
@@ -43,28 +42,13 @@ def spanning_forest(g: Graph) -> tuple[list[int], list[int], set[Edge]]:
 
     Roots are the smallest vertex of each component, neighbors are visited
     in ascending order. Returns ``(parent, order, tree_edges)`` with
-    ``parent[root] == -1``.
+    ``parent[root] == -1``: fresh containers built from the forest that
+    :class:`Graph` computes once.
     """
-    parent = [-1] * g.n
-    seen = [False] * g.n
-    order: list[int] = []
-    tree_edges: set[Edge] = set()
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order.append(root)
-        q = deque([root])
-        while q:
-            v = q.popleft()
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    order.append(w)
-                    tree_edges.add((v, w) if v < w else (w, v))
-                    q.append(w)
-    return parent, order, tree_edges
+    parent, order = g._forest
+    tree = {(p, v) if p < v else (v, p)
+            for v, p in enumerate(parent) if p != -1}
+    return list(parent), list(order), tree
 
 
 def cotree_edges(g: Graph) -> list[Edge]:
@@ -90,19 +74,18 @@ class BalanceResult:
     negative_cycle: Optional[Cycle]
 
 
-def _forest_signing(sg: SignedGraph) -> tuple[list[int], list[int], set[Edge]]:
-    """Per-vertex signs making forest edges positive, plus the BFS parents
-    and forest edges."""
-    parent, order, tree = spanning_forest(sg.graph)
+def _forest_signing(sg: SignedGraph) -> list[int]:
+    """Per-vertex signs ``mu`` making every forest edge positive."""
+    parent, order = sg.graph._forest
     mu = [1] * sg.n
     for v in order:
         p = parent[v]
         if p != -1:
             mu[v] = mu[p] * sg.sign(p, v)
-    return mu, parent, tree
+    return mu
 
 
-def _fundamental_cycle(parent: list[int], u: int, v: int) -> Cycle:
+def _fundamental_cycle(parent: Sequence[int], u: int, v: int) -> Cycle:
     """Cycle formed by the forest paths from ``u`` and ``v`` to their
     lowest common ancestor, closed by the edge (u, v)."""
     anc_u = [u]
@@ -129,11 +112,11 @@ def is_balanced(sg: SignedGraph) -> BalanceResult:
     The switching function then positivizes every edge; otherwise the
     disagreeing edge closes a fundamental cycle of sign -1.
     """
-    mu, parent, tree = _forest_signing(sg)
-    # signed_edges is sorted, so the non-forest edges come in cotree order
-    for u, v, s in sg.signed_edges:
-        if (u, v) not in tree and mu[u] * mu[v] * s == -1:
-            return BalanceResult(False, None, _fundamental_cycle(parent, u, v))
+    mu = _forest_signing(sg)
+    for u, v in cotree_edges(sg.graph):
+        if mu[u] * mu[v] * sg.sign(u, v) == -1:
+            return BalanceResult(
+                False, None, _fundamental_cycle(sg.graph._forest[0], u, v))
     return BalanceResult(True, tuple(mu), None)
 
 
@@ -145,5 +128,5 @@ def canonical_signature(sg: SignedGraph) -> SignedGraph:
     sit on non-forest edges and encode exactly the signs of the fundamental
     cycles, which switching preserves.
     """
-    mu, _, _ = _forest_signing(sg)
+    mu = _forest_signing(sg)
     return switch(sg, [v for v in range(sg.n) if mu[v] == -1])

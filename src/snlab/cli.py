@@ -253,7 +253,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import ParseError
-from .graphs import Graph, SignedGraph
+from .graphs import Edge, Graph, SignedGraph
 
 _G6_HEADER = ">>graph6<<"
 
@@ -133,20 +133,20 @@ def sgl_loads(text: str) -> list[SignedGraph]:
     """Parse records; raises :class:`ParseError` with a line number."""
     records: list[SignedGraph] = []
     n: int | None = None
-    triples: list[tuple[int, int, int]] = []
+    signs: dict[Edge, int] = {}
     start_line = 0
 
     def flush():
-        nonlocal n, triples
+        nonlocal n, signs
         if n is None:
             return
         try:
-            g = Graph(n, frozenset((u, v) for u, v, _ in triples))
-            records.append(SignedGraph(g, tuple(triples)))
+            records.append(SignedGraph.with_signs(Graph(n, frozenset(signs)),
+                                                  signs))
         except ValueError as exc:
             raise ParseError(str(exc), start_line) from exc
         n = None
-        triples = []
+        signs = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.isascii():  # keeps isdigit below to ASCII digits too
@@ -173,7 +173,9 @@ def sgl_loads(text: str) -> list[SignedGraph]:
             raise ParseError(f"edge must satisfy u < v, got {u} {v}", lineno)
         if ss not in ("+", "-"):
             raise ParseError(f"sign must be '+' or '-', got {ss!r}", lineno)
-        triples.append((u, v, 1 if ss == "+" else -1))
+        if (u, v) in signs:
+            raise ParseError(f"duplicate edge {u} {v}", lineno)
+        signs[(u, v)] = 1 if ss == "+" else -1
     flush()
     return records
 

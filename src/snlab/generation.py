@@ -177,8 +177,8 @@ def enumerate_signatures(g: Graph) -> Iterator[SignedGraph]:
     """
     free = cotree_edges(g)
     for pattern in range(1 << len(free)):
-        neg = {free[i] for i in range(len(free)) if (pattern >> i) & 1}
-        yield SignedGraph.with_negatives(g, neg)
+        yield SignedGraph(g, frozenset(
+            e for i, e in enumerate(free) if (pattern >> i) & 1))
 
 
 def count_switching_classes(g: Graph) -> int:

@@ -1,7 +1,8 @@
 """Simple undirected graphs, signed graphs, and structural invariants.
 
 Vertices are the integers ``0 .. n-1``. Edges are unordered pairs stored as
-``(u, v)`` with ``u < v``. Everything here is immutable after construction
+``(u, v)`` with ``u < v``; a signed graph is its underlying graph plus the
+set of its negative edges. Everything here is immutable after construction
 and safe to share between workers; all operations are pure functions.
 """
 
@@ -66,25 +67,30 @@ class Graph:
         return tuple(tuple(sorted(b)) for b in nbrs)
 
     @cached_property
-    def _components(self) -> tuple[tuple[int, ...], ...]:
-        """See :func:`connected_components`; one BFS per graph."""
+    def _forest(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The canonical BFS spanning forest ``(parent, order)``, one BFS per
+        graph: each component is rooted at its smallest vertex
+        (``parent[root] == -1``) and neighbours are visited in ascending
+        order; ``order`` lists the vertices as visited, component by
+        component."""
+        parent = [-1] * self.n
         seen = [False] * self.n
-        comps = []
-        for src in range(self.n):
-            if seen[src]:
+        order: list[int] = []
+        for root in range(self.n):
+            if seen[root]:
                 continue
-            seen[src] = True
-            comp = [src]
-            q = deque([src])
-            while q:
-                v = q.popleft()
+            seen[root] = True
+            head = len(order)
+            order.append(root)
+            while head < len(order):  # order doubles as the BFS queue
+                v = order[head]
+                head += 1
                 for w in self._adj[v]:
                     if not seen[w]:
                         seen[w] = True
-                        comp.append(w)
-                        q.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+                        parent[w] = v
+                        order.append(w)
+        return tuple(parent), tuple(order)
 
     @cached_property
     def pendant_core(self) -> tuple[tuple[int, ...], int, int]:
@@ -159,60 +165,66 @@ class Graph:
 
 @dataclass(frozen=True)
 class SignedGraph:
-    """A graph together with a total edge-sign map into {+1, -1}.
+    """A graph together with a signature, stored as its set of negative
+    edges.
 
-    ``signed_edges`` is the sorted tuple of ``(u, v, sign)`` triples; its
-    edge set must equal the underlying graph's exactly.
+    ``negatives`` is a frozenset of normalized edges ``(u, v)``, ``u < v``,
+    of the underlying graph; every other edge is positive. A switching
+    class is then a set of negative edges over a fixed graph, which is how
+    :func:`snlab.generation.enumerate_signatures` builds its
+    representatives. :meth:`with_signs` validates a full sign map.
     """
 
     graph: Graph
-    signed_edges: tuple[tuple[int, int, int], ...]
+    negatives: frozenset[Edge]
 
     def __post_init__(self):
-        seen = {}
-        for u, v, s in self.signed_edges:
-            if s not in (1, -1):
-                raise ValueError(f"sign must be +1 or -1, got {s!r}")
-            e = _norm_edge(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate sign for edge {e}")
-            seen[e] = s
-        if set(seen) != self.graph.edges:
-            raise ValueError("sign map domain must equal the edge set")
-        object.__setattr__(
-            self, "signed_edges",
-            tuple(sorted((u, v, seen[(u, v)]) for u, v in self.graph.edges)))
+        object.__setattr__(self, "negatives", frozenset(self.negatives))
+        if not self.negatives <= self.graph.edges:
+            raise ValueError("negative edges not in graph: "
+                             f"{sorted(self.negatives - self.graph.edges)}")
 
     @classmethod
     def with_signs(cls, graph: Graph, signs: Mapping[Edge, int]) -> "SignedGraph":
-        return cls(graph, tuple((u, v, s) for (u, v), s in signs.items()))
+        """The signed graph with sign ``signs[e]`` on each edge ``e``; every
+        sign must be +1 or -1 and the keys, in either orientation, exactly
+        the graph's edges."""
+        for s in signs.values():
+            if s not in (1, -1):
+                raise ValueError(f"sign must be +1 or -1, got {s!r}")
+        norm = {_norm_edge(u, v): s for (u, v), s in signs.items()}
+        if len(norm) != len(signs) or norm.keys() != graph.edges:
+            raise ValueError("sign map domain must equal the edge set, "
+                             "each edge once")
+        return cls(graph, frozenset(e for e, s in norm.items() if s == -1))
 
     @classmethod
     def all_positive(cls, graph: Graph) -> "SignedGraph":
-        return cls(graph, tuple((u, v, 1) for u, v in graph.edges))
+        return cls(graph, frozenset())
 
     @classmethod
     def with_negatives(cls, graph: Graph, negatives: Iterable[Edge]) -> "SignedGraph":
-        neg = {_norm_edge(u, v) for u, v in negatives}
-        missing = neg - graph.edges
-        if missing:
-            raise ValueError(f"negative edges not in graph: {sorted(missing)}")
-        return cls(graph, tuple(
-            (u, v, -1 if (u, v) in neg else 1) for u, v in graph.edges))
+        return cls(graph, frozenset(_norm_edge(u, v) for u, v in negatives))
 
-    @cached_property
-    def _sign_map(self) -> dict[Edge, int]:
-        return {(u, v): s for u, v, s in self.signed_edges}
+    @property
+    def signed_edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The sorted ``(u, v, sign)`` triples, one per edge."""
+        return tuple((u, v, -1 if (u, v) in self.negatives else 1)
+                     for u, v in sorted(self.graph.edges))
 
     def sign(self, u: int, v: int) -> int:
-        return self._sign_map[_norm_edge(u, v)]
+        """The sign of edge ``(u, v)``; ``KeyError`` for a non-edge."""
+        e = _norm_edge(u, v)
+        if e not in self.graph.edges:
+            raise KeyError(e)
+        return -1 if e in self.negatives else 1
 
     @property
     def n(self) -> int:
         return self.graph.n
 
     def negative_edges(self) -> list[Edge]:
-        return sorted((u, v) for u, v, s in self.signed_edges if s == -1)
+        return sorted(self.negatives)
 
     def __repr__(self) -> str:
         return f"SignedGraph({self.graph!r}, negatives={self.negative_edges()})"
@@ -331,22 +343,28 @@ def delete_vertices(g, vs: Iterable[int]):
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted, ordered by
-    smallest member. Computed once per graph; each call returns a fresh
-    list."""
-    return list(g._components)
+    smallest member; read off the canonical spanning forest, which is
+    computed once per graph."""
+    parent, order = g._forest
+    comps: list[list[int]] = []
+    for v in order:
+        if parent[v] == -1:
+            comps.append([])
+        comps[-1].append(v)
+    return [tuple(sorted(c)) for c in comps]
 
 
 def num_components(g: Graph) -> int:
-    return len(g._components)
+    return g._forest[0].count(-1)
 
 
 def is_connected(g: Graph) -> bool:
-    return len(g._components) == 1
+    return num_components(g) == 1
 
 
 def cycle_space_dim(g: Graph) -> int:
     """Dimension of the cycle space: |E| - |V| + number of components."""
-    return len(g.edges) - g.n + len(g._components)
+    return len(g.edges) - g.n + num_components(g)
 
 
 def pendant_vertices(g: Graph) -> tuple[int, ...]:
@@ -475,39 +493,26 @@ def contract_cycles(g: Graph) -> ContractionTree:
     ok, cycles = cycles_pairwise_vertex_disjoint(g)
     if not ok:
         raise StructureError("cycles are not pairwise vertex-disjoint")
-    on_cycle: dict[int, int] = {}
-    pieces: list[Union[int, Cycle]] = []
-    for cyc in cycles:
-        for v in cyc.vertices:
-            on_cycle[v] = len(pieces)
-        pieces.append(cyc)
+    # number the pieces in one ascending pass: a vertex off every cycle
+    # starts one, and so does each cycle at its minimum vertex
+    on_cycle = {v: cyc for cyc in cycles for v in cyc.vertices}
+    tid = [0] * g.n
+    origin: list[Union[int, Cycle]] = []
     for v in range(g.n):
-        if v not in on_cycle:
-            pieces.append(v)
-
-    def piece_key(p):
-        return min(p.vertices) if isinstance(p, Cycle) else p
-
-    order = sorted(range(len(pieces)), key=lambda i: piece_key(pieces[i]))
-    new_id = {old: new for new, old in enumerate(order)}
-    origin = tuple(pieces[old] for old in order)
-
-    plain_id = {p: new_id[idx] for idx, p in enumerate(pieces)
-                if not isinstance(p, Cycle)}
-
-    def mapped(v: int) -> int:
-        return new_id[on_cycle[v]] if v in on_cycle else plain_id[v]
-
-    tree_edges = set()
-    for u, v in g.edges:
-        mu, mv = mapped(u), mapped(v)
-        if mu != mv:
-            tree_edges.add(_norm_edge(mu, mv))
-    tree = Graph(len(pieces), frozenset(tree_edges))
+        cyc = on_cycle.get(v)
+        if cyc is None:
+            tid[v] = len(origin)
+            origin.append(v)
+        elif v == cyc.vertices[0]:
+            for w in cyc.vertices:
+                tid[w] = len(origin)
+            origin.append(cyc)
+    tree = Graph(len(origin), frozenset(
+        (tid[u], tid[v]) for u, v in g.edges if tid[u] != tid[v]))
     if cycle_space_dim(tree) != 0:
         raise StructureError("contraction did not produce an acyclic graph")
     cyclic = frozenset(i for i, p in enumerate(origin) if isinstance(p, Cycle))
-    return ContractionTree(tree, cyclic, origin)
+    return ContractionTree(tree, cyclic, tuple(origin))
 
 
 def pendant_type(g, u: int) -> PendantType:

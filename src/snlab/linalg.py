@@ -77,11 +77,12 @@ def nullity(sg: SignedGraph) -> int:
     an isolated vertex is a zero row that adds 1 to the nullity.
     """
     pos, k, isolated = sg.graph.pendant_core
+    negatives = sg.negatives
     rows = [[0] * k for _ in range(k)]
-    for u, v, s in sg.signed_edges:
-        i, j = pos[u], pos[v]
+    for e in sg.graph.edges:
+        i, j = pos[e[0]], pos[e[1]]
         if i >= 0 and j >= 0:
-            rows[i][j] = rows[j][i] = s
+            rows[i][j] = rows[j][i] = -1 if e in negatives else 1
     return isolated + k - rank_exact(rows)
 
 

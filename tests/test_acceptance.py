@@ -8,6 +8,7 @@ tolerance zero) and asserts its runtime budget.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -138,6 +139,13 @@ def test_criterion_05_upper_bound_characterization_n7():
         assert report.upper_check["tested"] == report.totals["signatures"]
         assert report.upper_check["agreements"] == report.upper_check["tested"]
         assert report.upper_check["predicate_true"] > 0
+
+
+def test_n7_report_bytes():
+    """The bytes of ``snlab verify --n-max 7``, from the shared scan."""
+    body = json.dumps(n7_scan().to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(body.encode("ascii")).hexdigest() == (
+        "3ca10654df36435fff8241b68af5a00895b309aa554cefb08e9e1910e30c032f")
 
 
 def test_criterion_06_unicyclic_trichotomy_n9():

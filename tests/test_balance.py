@@ -99,6 +99,22 @@ class TestSwitch:
         with pytest.raises(ValueError):
             switch(sg, [3])
 
+    def test_constructors_agree(self, signed_upto_5):
+        """The sign map, the negative set in either orientation and a
+        double switch all rebuild the same object, with the same hash."""
+        rng = random.Random(5)
+        for sg in signed_upto_5:
+            flip = [v for v in range(sg.n) if rng.random() < 0.5]
+            same = (
+                SignedGraph.with_signs(
+                    sg.graph, {(v, u): s for u, v, s in sg.signed_edges}),
+                SignedGraph.with_negatives(
+                    sg.graph, [(v, u) for u, v in sg.negative_edges()]),
+                switch(switch(sg, flip), flip),
+            )
+            for other in same:
+                assert other == sg and hash(other) == hash(sg)
+
     def test_preserves_spectrum(self, signed_upto_5):
         rng = random.Random(77)
         for sg in signed_upto_5:
@@ -121,6 +137,17 @@ class TestSpanningForest:
             assert sorted(order) == list(range(g.n))
             assert len(tree) + cycle_space_dim(g) == len(g.edges)
             assert len(cotree_edges(g)) == cycle_space_dim(g)
+
+    def test_each_call_returns_fresh_containers(self):
+        g = cycle_graph(5)
+        parent, order, tree = spanning_forest(g)
+        parent[0] = 4
+        order.append(9)
+        tree.clear()
+        cotree_edges(g).append((0, 4))
+        assert spanning_forest(g) == ([-1, 0, 1, 4, 0], [0, 1, 4, 2, 3],
+                                      {(0, 1), (1, 2), (0, 4), (3, 4)})
+        assert cotree_edges(g) == [(2, 3)]
 
     def test_deterministic(self):
         g = cycle_graph(5)

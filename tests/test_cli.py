@@ -52,6 +52,10 @@ class TestInvariantsCommand:
     def test_missing_file(self, capsys):
         assert main(["invariants", "/nonexistent/input.sgl"]) == 1
 
+    def test_directory_input(self, tmp_path, capsys):
+        assert main(["invariants", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.sgl"
         bad.write_text("2\n0 1 *\n")
@@ -139,6 +143,10 @@ class TestVerifyCommand:
     def test_bad_n_max(self, tmp_path):
         assert main(["verify", "--n-max", "0",
                      "--out", str(tmp_path / "r.json")]) == 1
+
+    def test_directory_out(self, tmp_path, capsys):
+        assert main(["verify", "--n-max", "3", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_negative_c_max(self, tmp_path, capsys):
         out = tmp_path / "r.json"

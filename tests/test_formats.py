@@ -205,8 +205,9 @@ class TestSglErrors:
         assert exc.value.line == 2  # reported at the record's count line
 
     def test_duplicate_edge(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             sgl_loads("3\n0 1 +\n0 1 -\n")
+        assert exc.value.line == 3
 
     def test_non_ascii_digits(self):
         # str.isdigit accepts these, int() rejects or converts them

@@ -43,15 +43,33 @@ class TestConstruction:
     def test_signed_graph_requires_total_sign_map(self):
         g = path_graph(3)
         with pytest.raises(ValueError):
-            SignedGraph(g, ((0, 1, 1),))  # missing sign for (1,2)
+            SignedGraph.with_signs(g, {(0, 1): 1})  # missing sign for (1,2)
         with pytest.raises(ValueError):
-            SignedGraph(g, ((0, 1, 1), (1, 2, 0)))  # bad sign value
+            SignedGraph.with_signs(g, {(0, 1): 1, (1, 2): 0})  # bad sign value
 
     def test_signed_graph_sign_lookup(self):
         sg = SignedGraph.with_negatives(path_graph(3), [(1, 2)])
         assert sg.sign(0, 1) == 1
         assert sg.sign(2, 1) == -1
         assert sg.negative_edges() == [(1, 2)]
+
+    def test_sign_of_a_non_edge_raises_key_error(self):
+        sg = SignedGraph.with_negatives(path_graph(3), [(1, 2)])
+        with pytest.raises(KeyError):
+            sg.sign(0, 2)
+        with pytest.raises(KeyError):
+            sg.sign(2, 0)
+
+    def test_negatives_must_be_edges(self):
+        with pytest.raises(ValueError):
+            SignedGraph(path_graph(3), frozenset([(0, 2)]))
+        with pytest.raises(ValueError):
+            SignedGraph.with_negatives(path_graph(3), [(0, 2)])
+
+    def test_negatives_stored_as_a_frozenset(self):
+        sg = SignedGraph(path_graph(3), {(0, 1)})
+        assert sg == SignedGraph.with_negatives(path_graph(3), [(1, 0)])
+        assert hash(sg) == hash(SignedGraph(path_graph(3), frozenset([(0, 1)])))
 
     def test_cycle_canonical_rotation(self):
         assert Cycle((2, 3, 1)).vertices == (1, 2, 3)

@@ -176,8 +176,8 @@ class TestPendantReducedNullity:
 
     @staticmethod
     def random_signed(rng: random.Random, n: int, edges) -> SignedGraph:
-        return SignedGraph(Graph(n, frozenset(edges)),
-                           tuple((u, v, rng.choice((1, -1))) for u, v in edges))
+        return SignedGraph.with_signs(Graph(n, frozenset(edges)),
+                                      {e: rng.choice((1, -1)) for e in edges})
 
     def test_every_class_upto_6(self, signed_upto_6):
         for sg in signed_upto_6:
