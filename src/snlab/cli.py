@@ -112,18 +112,18 @@ def cmd_verify(args) -> int:
         path = args.source[len("graph6:"):]
         source = list(read_graph6(path))
         label = f"graph6:{path}"
-    started = time.monotonic()
-    report = gap_scan(n_max=args.n_max, c_max=args.c_max, source=source,
-                      source_label=label, workers=args.workers,
-                      emit_all=args.emit_all)
-    elapsed = time.monotonic() - started
-
-    if args.emit_all:
-        body = "".join(_dump_line(r) + "\n" for r in report.records)
-    else:
-        body = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    # open the report before the campaign, so a bad --out fails at once
     with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(body)
+        started = time.monotonic()
+        report = gap_scan(n_max=args.n_max, c_max=args.c_max, source=source,
+                          source_label=label, workers=args.workers,
+                          emit_all=args.emit_all)
+        elapsed = time.monotonic() - started
+        if args.emit_all:
+            fh.write("".join(_dump_line(r) + "\n" for r in report.records))
+        else:
+            fh.write(json.dumps(report.to_json_dict(), sort_keys=True,
+                                indent=2) + "\n")
 
     bad = report.violations + report.upper_check["disagreements"]
     if bad:

@@ -6,7 +6,9 @@ divisions are exact over the integers by Newton's identities. No floats
 anywhere, so eigenvalue-multiplicity questions never hit rounding.
 ``nullity`` strips pendant pairs before elimination: a pendant vertex and
 its neighbour never change the nullity, so only the pendant-free core of
-the graph reaches Bareiss.
+the graph reaches Bareiss. ``rank_division_free`` and ``eliminate_outside``
+are the faster kernels for the small cores of the campaign, checked against
+Bareiss in the tests.
 
 The module also enumerates basic subgraphs (disjoint unions of single edges
 and cycles) and evaluates the signed coefficient sum over them, giving a
@@ -16,6 +18,7 @@ second, combinatorial route to the characteristic polynomial coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import CapacityError
 from .graphs import Cycle, Edge, SignedGraph
@@ -23,6 +26,7 @@ from .graphs import Cycle, Edge, SignedGraph
 IntMatrix = tuple[tuple[int, ...], ...]
 
 CHAR_POLY_VERTEX_CAP = 16
+DIVISION_FREE_MAX = 8  # largest core the campaign hands to rank_division_free
 SACHS_VERTEX_CAP = 12
 
 
@@ -64,6 +68,77 @@ def rank_exact(m: IntMatrix) -> int:
         if r == rows:
             break
     return rank
+
+
+def rank_division_free(m: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals, by division-free elimination.
+
+    A row with entry ``f`` in the pivot column becomes ``p * row - f *
+    pivot_row``, ``p`` the pivot; a row already 0 there is skipped. There
+    is no division, so entries can square at every step (up to 2**127 on
+    an 8 x 8 matrix of signs): this is the kernel for small matrices such
+    as the campaign's pendant cores, and :func:`rank_exact` is the
+    reference. Rows are rebound, never written, so ``m`` is left intact.
+    """
+    a = list(m)
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        for i, pivot in enumerate(a):
+            if pivot[c]:
+                break
+        else:
+            continue
+        del a[i]
+        rank += 1
+        if not a:
+            break
+        p = pivot[c]
+        a = [[x * p - f * y for x, y in zip(row, pivot)] if (f := row[c]) else row
+             for row in a]
+    return rank
+
+
+def eliminate_outside(m: Sequence[Sequence[int]], inner: Sequence[int]
+                      ) -> tuple[int, list[list[int]], list[int]]:
+    """Division-free elimination of the columns outside ``inner``, with
+    pivots from the rows outside ``inner`` only; ``m`` is square.
+
+    Returns ``(pivots, residual, scale)`` with ``rank(m) == pivots +
+    rank(residual)``: every step is invertible, and the rows left over are 0
+    in every pivot column. The residual's rows are the inner rows (in the
+    order of ``inner``), then the outer rows left without a pivot; its
+    columns are the inner columns in the same order, then the outer columns
+    left without a pivot. An outer row is only ever combined with outer
+    rows, and inner row ``i`` with outer rows after being multiplied by
+    ``scale[i]``; so adding ``delta`` to ``m[inner[i]][inner[j]]`` adds
+    ``scale[i] * delta`` to ``residual[i][j]`` and changes nothing else.
+    ``m`` is left intact.
+    """
+    is_inner = set(inner)
+    outer = [row for v, row in enumerate(m) if v not in is_inner]
+    inner_rows = [m[v] for v in inner]
+    scale = [1] * len(inner_rows)
+    keep = list(inner)
+    pivots = 0
+    for c in range(len(m)):
+        if c in is_inner:
+            continue
+        for i, pivot in enumerate(outer):
+            if pivot[c]:
+                break
+        else:
+            keep.append(c)
+            continue
+        del outer[i]
+        pivots += 1
+        p = pivot[c]
+        outer = [[x * p - f * y for x, y in zip(row, pivot)] if (f := row[c]) else row
+                 for row in outer]
+        for i, row in enumerate(inner_rows):
+            if f := row[c]:
+                inner_rows[i] = [x * p - f * y for x, y in zip(row, pivot)]
+                scale[i] *= p
+    return pivots, [[row[c] for c in keep] for row in inner_rows + outer], scale
 
 
 def nullity(sg: SignedGraph) -> int:

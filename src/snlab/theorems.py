@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .balance import cycle_sign, is_balanced
+from .balance import cotree_edges, cycle_sign, is_balanced
 from .errors import TheoremViolation
 from .formats import graph6_encode, sgl_dumps
-from .generation import check_vertex_cap, enumerate_connected, enumerate_signatures
+from .generation import check_vertex_cap, enumerate_connected
 from .graphs import (Cycle, Edge, Graph, PendantType, SignedGraph, contract_cycles,
                      cycle_space_dim, cycles_pairwise_vertex_disjoint, delete_vertices,
                      is_connected, vertices_on_cycles)
-from .linalg import nullity
+from .linalg import (DIVISION_FREE_MAX, eliminate_outside, nullity, rank_division_free,
+                     rank_exact)
 from .matching import contraction_matched, matching_number
 
 
@@ -83,15 +84,16 @@ def invariant_record(sg: SignedGraph, check: bool = True) -> InvariantRecord:
     return rec
 
 
+def _attaining_sign(length: int) -> Optional[int]:
+    """The sign a cycle of this length needs for the upper bound: +1 for
+    length 0 mod 4, -1 for length 2 mod 4, None for an odd length, which
+    never attains."""
+    return {0: 1, 2: -1}.get(length % 4)
+
+
 def _signs_attain(sg: SignedGraph, cycles: Sequence[Cycle]) -> bool:
-    """Every cycle has length 0 mod 4 with positive sign or length 2 mod 4
-    with negative sign."""
-    for cyc in cycles:
-        q = len(cyc)
-        sign = cycle_sign(sg, cyc)
-        if not ((q % 4 == 0 and sign == 1) or (q % 4 == 2 and sign == -1)):
-            return False
-    return True
+    """Every cycle has the sign :func:`_attaining_sign` asks of its length."""
+    return all(cycle_sign(sg, cyc) == _attaining_sign(len(cyc)) for cyc in cycles)
 
 
 def attains_upper(sg: SignedGraph) -> bool:
@@ -338,39 +340,137 @@ class CampaignReport:
         return not self.violations and not self.upper_check["disagreements"]
 
 
+class _Profile(NamedTuple):
+    """What the scan needs of one underlying graph, computed once for all
+    its ``2**c`` classes (see :func:`_profile`).
+
+    Pattern ``t`` stands for the class whose negative edges are the
+    cotree edges ``cotree[i]`` of the set bits ``i`` of ``t``, the
+    representative :func:`enumerate_signatures` builds in the same order.
+    """
+
+    graph: Graph
+    cotree: tuple[Edge, ...]
+    core: tuple[tuple[int, ...], ...]  # the all-positive pendant-core matrix
+    core_entry: tuple[Optional[tuple[int, int]], ...]  # per cotree edge
+    isolated: int
+    low: int  # the pattern bits below ``low`` only patch the residual
+    inner: tuple[int, ...]  # the core indices those bits touch
+    rank: Callable[[Sequence[Sequence[int]]], int]
+    # (cotree mask, wanted parity) per cycle, or None when no class attains
+    attaining: Optional[tuple[tuple[int, int], ...]]
+
+
+def _profile(g: Graph) -> _Profile:
+    """Profile ``g`` for :func:`_classes`.
+
+    On the connected graphs whose cycles are disjoint and whose contraction
+    tree is matched, a class attains the upper bound iff each cycle has the
+    sign :func:`_attaining_sign` asks; forest edges are positive, so the
+    sign of a cycle is the parity of the pattern bits of its cotree edges.
+    ``low`` weighs one elimination of the core per ``2**low`` classes
+    against one of the residual per class, each costing about its size
+    cubed; a core above ``DIVISION_FREE_MAX`` gets Bareiss on the whole
+    core instead.
+    """
+    cotree = tuple(cotree_edges(g))
+    pos, k, isolated = g.pendant_core
+    core = [[0] * k for _ in range(k)]
+    for u, v in g.edges:
+        if pos[u] >= 0 and pos[v] >= 0:
+            core[pos[u]][pos[v]] = core[pos[v]][pos[u]] = 1
+    core_entry = tuple((pos[u], pos[v]) if pos[u] >= 0 and pos[v] >= 0 else None
+                       for u, v in cotree)
+    if k > DIVISION_FREE_MAX:
+        low, inner, rank = len(cotree), tuple(range(k)), rank_exact
+    else:
+        touched: set[int] = set()
+        best = (k ** 3, 0, ())
+        for low in range(1, len(cotree) + 1):
+            touched.update(core_entry[low - 1] or ())
+            cost = k ** 3 / 2 ** low + len(touched) ** 3
+            if cost < best[0]:
+                best = (cost, low, tuple(sorted(touched)))
+        _, low, inner = best
+        rank = rank_division_free
+    attaining = None
+    disjoint, cycles = (cycles_pairwise_vertex_disjoint(g) if is_connected(g)
+                        else (False, None))
+    if disjoint:
+        wanted = [_attaining_sign(len(cyc)) for cyc in cycles]
+        if None not in wanted and contraction_matched(contract_cycles(g)):
+            bit = {e: 1 << i for i, e in enumerate(cotree)}
+            attaining = tuple(
+                (sum(bit.get(e, 0) for e in cyc.edge_list()), sign == -1)
+                for cyc, sign in zip(cycles, wanted))
+    return _Profile(g, cotree, tuple(map(tuple, core)), core_entry, isolated,
+                    low, inner, rank, attaining)
+
+
+def _classes(p: _Profile) -> Iterator[tuple[int, int, bool]]:
+    """``(pattern, eta, attains)`` for every class of the profiled graph,
+    in pattern order; ``attains`` is :func:`attains_upper` (False on a
+    disconnected graph), balance is ``pattern == 0``.
+
+    From pattern ``t - 1`` to ``t`` the bits of ``t ^ (t - 1)`` change, so
+    the core matrix follows by negating their entries in place. Once per
+    block of ``2**low`` patterns :func:`eliminate_outside` eliminates the
+    core outside ``inner``; inside a block only bits below ``low`` change,
+    and their entries patch the residual. The nullity is ``isolated + k -
+    rank``, as in :func:`nullity`, with ``rank = pivots + rank(residual)``.
+    """
+    rows = [list(r) for r in p.core]
+    base = p.isolated + len(rows)
+    core_entry, rank, attaining = p.core_entry, p.rank, p.attaining
+    at = {v: i for i, v in enumerate(p.inner)}
+    block = (1 << p.low) - 1
+    for t in range(1 << len(p.cotree)):
+        for i in range((t & -t).bit_length()):  # the bits of t ^ (t - 1)
+            if core_entry[i] is not None:
+                a, b = core_entry[i]
+                old = rows[a][b]
+                rows[a][b] = rows[b][a] = -old
+                if t & block:  # bit i is below low, so a and b are inner
+                    residual[at[a]][at[b]] -= 2 * scale[at[a]] * old
+                    residual[at[b]][at[a]] -= 2 * scale[at[b]] * old
+        if not t & block:
+            pivots, residual, scale = eliminate_outside(rows, p.inner)
+        attains = attaining is not None and all(
+            (t & mask).bit_count() & 1 == odd for mask, odd in attaining)
+        yield t, base - pivots - rank(residual), attains
+
+
 def _scan_graph(g: Graph, emit_all: bool, acc: dict) -> None:
     """Scan all signature representatives of one underlying graph into the
     chunk accumulator ``acc``.
 
-    The bounds are computed once per graph; each signature adds its nullity
-    and, on a connected graph, the upper-bound predicate. A record is built
-    only when it is emitted, breaks a law or disagrees with the predicate.
+    The bounds and the profile are computed once per graph; each signature
+    adds its nullity and, on a connected graph, the upper-bound predicate.
+    A record is built only when it is emitted, breaks a law or disagrees
+    with the predicate.
     """
     n, m, c = g.n, matching_number(g), cycle_space_dim(g)
     lower, upper = _bounds(n, m, c)
     g6 = graph6_encode(g)
     connected = is_connected(g)
+    p = _profile(g)
     by_s = acc["hist"].setdefault((n, c), {})
     up = acc["upper"]
-    sigs = 0
-    for sg in enumerate_signatures(g):
-        # forest edges are pinned positive: only the first class is balanced
-        balanced = sigs == 0
-        sigs += 1
-        eta = nullity(sg)
+    for t, eta, predicate in _classes(p):
         s = upper - eta
         by_s[s] = by_s.get(s, 0) + 1
         broken = _broken_laws(eta, lower, upper)
-        predicate = connected and attains_upper(sg)
         agrees = not connected or predicate == (eta == upper)
         if connected:
             up["predicate_true"] += predicate
             up["agreements"] += agrees
         if broken or not agrees or emit_all:
-            rec = InvariantRecord(n=n, m=m, c=c, eta=eta, balanced=balanced,
+            # forest edges are positive: only pattern 0 is balanced
+            rec = InvariantRecord(n=n, m=m, c=c, eta=eta, balanced=t == 0,
                                   lower=lower, upper=upper, s=s)
             row = {"graph6": g6,
-                   "negatives": [list(e) for e in sg.negative_edges()],
+                   "negatives": [list(e) for i, e in enumerate(p.cotree)
+                                 if t >> i & 1],
                    **rec.to_json_dict()}
             acc["violations"].extend({"kind": kind, **row} for kind in broken)
             if not agrees:
@@ -378,8 +478,8 @@ def _scan_graph(g: Graph, emit_all: bool, acc: dict) -> None:
             if emit_all:
                 acc["records"].append(row)
     acc["graphs"] += 1
-    acc["signatures"] += sigs
-    up["tested" if connected else "skipped_disconnected"] += sigs
+    acc["signatures"] += 1 << c
+    up["tested" if connected else "skipped_disconnected"] += 1 << c
 
 
 def _scan_chunk(args: tuple[tuple[Graph, ...], bool]) -> dict:

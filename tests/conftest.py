@@ -73,11 +73,17 @@ WRONG_NULLITY = {(2, 1, 0): -1, (3, 2, 0): 3, (3, 3, 0): 3}
 
 @pytest.fixture
 def wrong_nullity(monkeypatch):
-    """Make the campaign see ``WRONG_NULLITY`` instead of the true values."""
-    real = snlab.theorems.nullity
+    """Make the campaign see ``WRONG_NULLITY`` instead of the true values.
 
-    def fake(sg):
-        key = (sg.n, len(sg.graph.edges), len(sg.negative_edges()))
-        return WRONG_NULLITY[key] if key in WRONG_NULLITY else real(sg)
+    The scan reads every class's nullity from ``theorems._classes``; a class
+    is its pattern, whose set bits are its negative edges.
+    """
+    real = snlab.theorems._classes
 
-    monkeypatch.setattr(snlab.theorems, "nullity", fake)
+    def fake(profile):
+        g = profile.graph
+        for pattern, eta, attains in real(profile):
+            key = (g.n, len(g.edges), pattern.bit_count())
+            yield pattern, WRONG_NULLITY.get(key, eta), attains
+
+    monkeypatch.setattr(snlab.theorems, "_classes", fake)

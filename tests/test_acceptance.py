@@ -70,7 +70,7 @@ _CACHE: dict = {}
 def n7_scan():
     """The n <= 7 campaign, shared by the gap and upper-bound criteria."""
     if "n7" not in _CACHE:
-        _CACHE["n7"] = gap_scan(7, workers=8)
+        _CACHE["n7"] = gap_scan(7, workers=2)
     return _CACHE["n7"]
 
 

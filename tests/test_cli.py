@@ -12,6 +12,7 @@ import json
 import subprocess
 import sys
 
+import snlab.cli
 from snlab import Graph, SignedGraph, cycle_graph, path_graph, write_graph6, write_sgl
 from snlab.cli import main
 
@@ -145,6 +146,14 @@ class TestVerifyCommand:
                      "--out", str(tmp_path / "r.json")]) == 1
 
     def test_directory_out(self, tmp_path, capsys):
+        assert main(["verify", "--n-max", "3", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_fails_before_the_scan(self, tmp_path, capsys, monkeypatch):
+        def never(**kwargs):
+            raise AssertionError("the campaign ran before --out was opened")
+
+        monkeypatch.setattr(snlab.cli, "gap_scan", never)
         assert main(["verify", "--n-max", "3", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -35,6 +35,7 @@ from snlab import (
     signed_adjacency,
     zero_root_multiplicity,
 )
+from snlab.linalg import eliminate_outside, rank_division_free
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,99 @@ class TestRank:
         assert nullity(SignedGraph.with_negatives(c6, [(0, 1)])) == 2
         assert nullity(SignedGraph.all_positive(path_graph(4))) == 0
         assert nullity(SignedGraph.all_positive(path_graph(5))) == 1
+
+
+def core_matrix(sg: SignedGraph) -> list[list[int]]:
+    """The signed adjacency matrix of the pendant core of ``sg``."""
+    pos, k, _ = sg.graph.pendant_core
+    rows = [[0] * k for _ in range(k)]
+    for u, v, s in sg.signed_edges:
+        if pos[u] >= 0 and pos[v] >= 0:
+            rows[pos[u]][pos[v]] = rows[pos[v]][pos[u]] = s
+    return rows
+
+
+def random_rank_matrix(rng: random.Random, k: int, bound: int):
+    """A random k x k integer matrix of rank at most a random r <= k: the
+    product of a k x r and an r x k factor."""
+    r = rng.randrange(k + 1)
+    left = random_signed_matrix(rng, k, r, bound)
+    right = random_signed_matrix(rng, r, k, bound)
+    return tuple(tuple(sum(left[i][t] * right[t][j] for t in range(r))
+                       for j in range(k)) for i in range(k))
+
+
+class TestDivisionFreeRank:
+    """``rank_division_free`` is the scan's kernel; Bareiss is the
+    reference."""
+
+    def test_known_ranks(self):
+        assert rank_division_free(()) == 0
+        assert rank_division_free(((0, 0), (0, 0))) == 0
+        assert rank_division_free(((1, 2), (2, 4))) == 1
+        assert rank_division_free(((0, 1), (1, 0))) == 2
+
+    def test_cores_of_every_class_upto_6(self, signed_upto_6):
+        for sg in signed_upto_6:
+            m = core_matrix(sg)
+            copy = [list(r) for r in m]
+            assert rank_division_free(m) == rank_exact(m)
+            assert m == copy
+
+    def test_random_matrices_up_to_8(self):
+        rng = random.Random(8128)
+        deficient = 0
+        for _ in range(600):
+            k = rng.randrange(1, 9)
+            bound = rng.choice((1, 2, 40))
+            m = (random_rank_matrix(rng, k, bound) if rng.random() < 0.5
+                 else random_signed_matrix(rng, k, k, bound))
+            rank = rank_exact(m)
+            deficient += rank < k
+            assert rank_division_free(m) == rank
+        assert deficient > 200
+
+
+class TestEliminateOutside:
+    """The scan eliminates the core outside the entries its inner bits
+    change, once per block, and patches the residual."""
+
+    @staticmethod
+    def random_inner(rng: random.Random, k: int) -> list[int]:
+        inner = [v for v in range(k) if rng.random() < 0.5]
+        rng.shuffle(inner)
+        return inner
+
+    def test_rank_is_pivots_plus_residual_rank(self):
+        rng = random.Random(4096)
+        for _ in range(600):
+            k = rng.randrange(0, 9)
+            m = (random_rank_matrix(rng, k, 2) if rng.random() < 0.5
+                 else random_signed_matrix(rng, k, k, 1))
+            inner = self.random_inner(rng, k)
+            pivots, residual, scale = eliminate_outside(m, inner)
+            assert pivots + rank_exact(residual) == rank_exact(m)
+            assert len(residual) == k - pivots and len(scale) == len(inner)
+            assert all(len(row) == k - pivots for row in residual)
+
+    def test_inner_change_patches_one_residual_entry(self):
+        rng = random.Random(65537)
+        for _ in range(400):
+            k = rng.randrange(1, 9)
+            m = random_signed_matrix(rng, k, k, 1)
+            inner = self.random_inner(rng, k) or [0]
+            pivots, residual, scale = eliminate_outside(m, inner)
+            i, j = rng.randrange(len(inner)), rng.randrange(len(inner))
+            delta = rng.choice((-2, -1, 1, 2))
+            changed = [list(r) for r in m]
+            changed[inner[i]][inner[j]] += delta
+            residual[i][j] += scale[i] * delta
+            assert eliminate_outside(changed, inner) == (pivots, residual, scale)
+
+    def test_input_left_intact(self):
+        m = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        eliminate_outside(m, [2])
+        assert m == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
 class TestPendantReducedNullity:

@@ -9,7 +9,9 @@ and error paths.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
+import random
 
 import pytest
 
@@ -41,6 +43,11 @@ from snlab import (
     unicyclic_case,
     vertices_on_cycles,
 )
+from snlab.balance import is_balanced
+from snlab.generation import enumerate_signatures
+from snlab.graphs import is_connected
+from snlab.linalg import rank_exact
+from snlab.theorems import _classes, _profile
 
 
 def square_with_tail() -> Graph:
@@ -408,6 +415,63 @@ class TestGapScanSingleSource:
         report = gap_scan(5)
         assert report.upper_check["predicate_true"] == sum(
             attains_upper(sg) for sg in signed_upto_5)
+
+
+class TestClassScan:
+    """The scan's per-class nullity, balance and predicate, read off the
+    graph's profile without building a signed graph, against the
+    object-building reference paths."""
+
+    @staticmethod
+    def assert_matches_reference(g: Graph) -> None:
+        profile = _profile(g)
+        connected = is_connected(g)
+        for (pattern, eta, attains), sg in itertools.zip_longest(
+                _classes(profile), enumerate_signatures(g)):
+            assert sg.negatives == {e for i, e in enumerate(profile.cotree)
+                                    if pattern >> i & 1}
+            assert eta == nullity(sg)
+            assert (pattern == 0) == is_balanced(sg).balanced
+            assert attains == (connected and attains_upper(sg))
+
+    @staticmethod
+    def random_graph(rng: random.Random, n: int, connected: bool) -> Graph:
+        density = rng.random()
+        edges = {(u, v) for u, v in itertools.combinations(range(n), 2)
+                 if rng.random() < density}
+        if connected:  # a random spanning tree keeps it connected
+            edges |= {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+        return Graph(n, frozenset(edges))
+
+    def test_every_class_upto_6(self, graphs_upto_6):
+        for g in graphs_upto_6:
+            self.assert_matches_reference(g)
+
+    def test_random_connected_graphs_on_8_vertices(self):
+        rng = random.Random(88)
+        sampled = 0
+        while sampled < 40:
+            g = self.random_graph(rng, 8, connected=True)
+            if cycle_space_dim(g) <= 11:  # at most 2,048 classes each
+                self.assert_matches_reference(g)
+                sampled += 1
+
+    def test_disconnected_graphs(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            g = self.random_graph(rng, rng.randrange(2, 9), connected=False)
+            if cycle_space_dim(g) <= 8:
+                self.assert_matches_reference(g)
+
+    def test_cores_above_8_use_bareiss(self):
+        rng = random.Random(12)
+        for n in (10, 11, 12):
+            # a cycle through every vertex plus chords: no pendant vertex
+            g = Graph(n, frozenset(
+                [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)]
+                + [tuple(sorted(rng.sample(range(n), 2))) for _ in range(3)]))
+            assert _profile(g).rank is rank_exact
+            self.assert_matches_reference(g)
 
 
 class TestGapScanFailurePath:
