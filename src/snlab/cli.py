@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 from .errors import CapacityError, ParseError, TheoremViolation
 from .formats import read_graph6, read_sgl, write_sgl
+from .generation import check_vertex_cap
 from .linalg import (SACHS_VERTEX_CAP, char_poly_exact, nullity,
                      sachs_coefficients, signed_adjacency)
 from .matching import matching_number
@@ -108,22 +109,27 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     source = None
     label = "internal"
-    if args.source != "internal":
+    if args.source == "internal":
+        check_vertex_cap(args.n_max)
+    else:
         path = args.source[len("graph6:"):]
         source = list(read_graph6(path))
         label = f"graph6:{path}"
-    # open the report before the campaign, so a bad --out fails at once
+    # a bad --out fails before the campaign; appending nothing leaves an
+    # existing report as it is until the new one is written
+    open(args.out, "a", encoding="ascii").close()
+    started = time.monotonic()
+    report = gap_scan(n_max=args.n_max, c_max=args.c_max, source=source,
+                      source_label=label, workers=args.workers,
+                      emit_all=args.emit_all)
+    elapsed = time.monotonic() - started
+
+    if args.emit_all:
+        body = "".join(_dump_line(r) + "\n" for r in report.records)
+    else:
+        body = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
     with open(args.out, "w", encoding="ascii") as fh:
-        started = time.monotonic()
-        report = gap_scan(n_max=args.n_max, c_max=args.c_max, source=source,
-                          source_label=label, workers=args.workers,
-                          emit_all=args.emit_all)
-        elapsed = time.monotonic() - started
-        if args.emit_all:
-            fh.write("".join(_dump_line(r) + "\n" for r in report.records))
-        else:
-            fh.write(json.dumps(report.to_json_dict(), sort_keys=True,
-                                indent=2) + "\n")
+        fh.write(body)
 
     bad = report.violations + report.upper_check["disagreements"]
     if bad:

@@ -26,7 +26,6 @@ from .graphs import Cycle, Edge, SignedGraph
 IntMatrix = tuple[tuple[int, ...], ...]
 
 CHAR_POLY_VERTEX_CAP = 16
-DIVISION_FREE_MAX = 8  # largest core the campaign hands to rank_division_free
 SACHS_VERTEX_CAP = 12
 
 
@@ -76,9 +75,9 @@ def rank_division_free(m: Sequence[Sequence[int]]) -> int:
     A row with entry ``f`` in the pivot column becomes ``p * row - f *
     pivot_row``, ``p`` the pivot; a row already 0 there is skipped. There
     is no division, so entries can square at every step (up to 2**127 on
-    an 8 x 8 matrix of signs): this is the kernel for small matrices such
-    as the campaign's pendant cores, and :func:`rank_exact` is the
-    reference. Rows are rebound, never written, so ``m`` is left intact.
+    an 8 x 8 matrix of signs); on the sparse pendant cores of the campaign
+    it is still faster than :func:`rank_exact`, the reference. Rows are
+    rebound, never written, so ``m`` is left intact.
     """
     a = list(m)
     rank = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .balance import cotree_edges, cycle_sign, is_balanced
 from .errors import TheoremViolation
@@ -25,8 +25,7 @@ from .generation import check_vertex_cap, enumerate_connected
 from .graphs import (Cycle, Edge, Graph, PendantType, SignedGraph, contract_cycles,
                      cycle_space_dim, cycles_pairwise_vertex_disjoint, delete_vertices,
                      is_connected, vertices_on_cycles)
-from .linalg import (DIVISION_FREE_MAX, eliminate_outside, nullity, rank_division_free,
-                     rank_exact)
+from .linalg import eliminate_outside, nullity, rank_division_free
 from .matching import contraction_matched, matching_number
 
 
@@ -349,14 +348,13 @@ class _Profile(NamedTuple):
     representative :func:`enumerate_signatures` builds in the same order.
     """
 
-    graph: Graph
+    connected: bool
     cotree: tuple[Edge, ...]
     core: tuple[tuple[int, ...], ...]  # the all-positive pendant-core matrix
     core_entry: tuple[Optional[tuple[int, int]], ...]  # per cotree edge
     isolated: int
     low: int  # the pattern bits below ``low`` only patch the residual
     inner: tuple[int, ...]  # the core indices those bits touch
-    rank: Callable[[Sequence[Sequence[int]]], int]
     # (cotree mask, wanted parity) per cycle, or None when no class attains
     attaining: Optional[tuple[tuple[int, int], ...]]
 
@@ -370,8 +368,7 @@ def _profile(g: Graph) -> _Profile:
     sign of a cycle is the parity of the pattern bits of its cotree edges.
     ``low`` weighs one elimination of the core per ``2**low`` classes
     against one of the residual per class, each costing about its size
-    cubed; a core above ``DIVISION_FREE_MAX`` gets Bareiss on the whole
-    core instead.
+    cubed.
     """
     cotree = tuple(cotree_edges(g))
     pos, k, isolated = g.pendant_core
@@ -381,20 +378,17 @@ def _profile(g: Graph) -> _Profile:
             core[pos[u]][pos[v]] = core[pos[v]][pos[u]] = 1
     core_entry = tuple((pos[u], pos[v]) if pos[u] >= 0 and pos[v] >= 0 else None
                        for u, v in cotree)
-    if k > DIVISION_FREE_MAX:
-        low, inner, rank = len(cotree), tuple(range(k)), rank_exact
-    else:
-        touched: set[int] = set()
-        best = (k ** 3, 0, ())
-        for low in range(1, len(cotree) + 1):
-            touched.update(core_entry[low - 1] or ())
-            cost = k ** 3 / 2 ** low + len(touched) ** 3
-            if cost < best[0]:
-                best = (cost, low, tuple(sorted(touched)))
-        _, low, inner = best
-        rank = rank_division_free
+    touched: set[int] = set()
+    best = (k ** 3, 0, ())
+    for low in range(1, len(cotree) + 1):
+        touched.update(core_entry[low - 1] or ())
+        cost = k ** 3 / 2 ** low + len(touched) ** 3
+        if cost < best[0]:
+            best = (cost, low, tuple(sorted(touched)))
+    _, low, inner = best
     attaining = None
-    disjoint, cycles = (cycles_pairwise_vertex_disjoint(g) if is_connected(g)
+    connected = is_connected(g)
+    disjoint, cycles = (cycles_pairwise_vertex_disjoint(g) if connected
                         else (False, None))
     if disjoint:
         wanted = [_attaining_sign(len(cyc)) for cyc in cycles]
@@ -403,8 +397,8 @@ def _profile(g: Graph) -> _Profile:
             attaining = tuple(
                 (sum(bit.get(e, 0) for e in cyc.edge_list()), sign == -1)
                 for cyc, sign in zip(cycles, wanted))
-    return _Profile(g, cotree, tuple(map(tuple, core)), core_entry, isolated,
-                    low, inner, rank, attaining)
+    return _Profile(connected, cotree, tuple(map(tuple, core)), core_entry,
+                    isolated, low, inner, attaining)
 
 
 def _classes(p: _Profile) -> Iterator[tuple[int, int, bool]]:
@@ -421,7 +415,7 @@ def _classes(p: _Profile) -> Iterator[tuple[int, int, bool]]:
     """
     rows = [list(r) for r in p.core]
     base = p.isolated + len(rows)
-    core_entry, rank, attaining = p.core_entry, p.rank, p.attaining
+    core_entry, attaining = p.core_entry, p.attaining
     at = {v: i for i, v in enumerate(p.inner)}
     block = (1 << p.low) - 1
     for t in range(1 << len(p.cotree)):
@@ -437,7 +431,7 @@ def _classes(p: _Profile) -> Iterator[tuple[int, int, bool]]:
             pivots, residual, scale = eliminate_outside(rows, p.inner)
         attains = attaining is not None and all(
             (t & mask).bit_count() & 1 == odd for mask, odd in attaining)
-        yield t, base - pivots - rank(residual), attains
+        yield t, base - pivots - rank_division_free(residual), attains
 
 
 def _scan_graph(g: Graph, emit_all: bool, acc: dict) -> None:
@@ -452,8 +446,8 @@ def _scan_graph(g: Graph, emit_all: bool, acc: dict) -> None:
     n, m, c = g.n, matching_number(g), cycle_space_dim(g)
     lower, upper = _bounds(n, m, c)
     g6 = graph6_encode(g)
-    connected = is_connected(g)
     p = _profile(g)
+    connected = p.connected
     by_s = acc["hist"].setdefault((n, c), {})
     up = acc["upper"]
     for t, eta, predicate in _classes(p):

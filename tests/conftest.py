@@ -75,15 +75,22 @@ WRONG_NULLITY = {(2, 1, 0): -1, (3, 2, 0): 3, (3, 3, 0): 3}
 def wrong_nullity(monkeypatch):
     """Make the campaign see ``WRONG_NULLITY`` instead of the true values.
 
-    The scan reads every class's nullity from ``theorems._classes``; a class
-    is its pattern, whose set bits are its negative edges.
+    The scan reads every class's nullity from ``theorems._classes``, one
+    graph at a time in ``theorems._scan_graph``; a class is its pattern,
+    whose set bits are its negative edges.
     """
-    real = snlab.theorems._classes
+    real_scan, real_classes = snlab.theorems._scan_graph, snlab.theorems._classes
+    scanned = []  # the graph being scanned
 
-    def fake(profile):
-        g = profile.graph
-        for pattern, eta, attains in real(profile):
+    def scan(g, emit_all, acc):
+        scanned[:] = [g]
+        real_scan(g, emit_all, acc)
+
+    def classes(profile):
+        g, = scanned
+        for pattern, eta, attains in real_classes(profile):
             key = (g.n, len(g.edges), pattern.bit_count())
             yield pattern, WRONG_NULLITY.get(key, eta), attains
 
-    monkeypatch.setattr(snlab.theorems, "_classes", fake)
+    monkeypatch.setattr(snlab.theorems, "_scan_graph", scan)
+    monkeypatch.setattr(snlab.theorems, "_classes", classes)

@@ -127,8 +127,15 @@ class TestVerifyCommand:
         assert report["config"]["source"].startswith("graph6:")
 
     def test_capacity_exit(self, tmp_path):
-        assert main(["verify", "--n-max", "9",
-                     "--out", str(tmp_path / "r.json")]) == 3
+        out = tmp_path / "r.json"
+        assert main(["verify", "--n-max", "9", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_failed_campaign_keeps_the_old_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_text("an earlier report\n")
+        assert main(["verify", "--n-max", "9", "--out", str(out)]) == 3
+        assert out.read_text() == "an earlier report\n"
 
     def test_parse_error_exit(self, tmp_path):
         src = tmp_path / "bad.g6"
