@@ -3,11 +3,12 @@
 Connected graphs are generated up to isomorphism by vertex augmentation:
 every connected graph on k >= 2 vertices has a non-cut vertex, so it arises
 from a connected graph on k-1 vertices by attaching a new vertex to a
-nonempty neighbor set. Each child is searched once for its canonical form
-(minimum adjacency bitstring over label permutations, restricted to
-color-refinement classes); the catalog is the set of these forms, each
-decoded once. Deleting a non-cut vertex never increases the cycle-space
-dimension, so a dimension cap may prune at every level.
+nonempty neighbor set; deleting a non-cut vertex never increases the
+cycle-space dimension, so a dimension cap may prune at every level. The
+catalog is the set of the children's canonical forms, each decoded once.
+The search for a form keeps only the partial orders with the least prefix
+(exact: columns have fixed lengths) and tries one vertex per twin class
+(exact: swapping two twins is an automorphism fixing the placed vertices).
 
 Signatures are enumerated one per switching class: fixing a spanning
 forest, every class has exactly one representative with all forest edges
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, product
 from typing import Iterator, Optional
 
 from .balance import cotree_edges
@@ -60,13 +61,13 @@ def check_vertex_cap(n: int, cap: Optional[int] = None) -> None:
 # ---------------------------------------------------------------------------
 # canonical forms
 
-def _refine_colors(g: Graph) -> list[int]:
+def _refine_colors(nbrs: list[list[int]]) -> list[int]:
     """Iterated neighborhood color refinement; canonical color ids."""
-    colors = [g.degree(v) for v in range(g.n)]
+    colors = [len(a) for a in nbrs]
     # normalize to dense ids ordered by key so ids are label-independent
     while True:
-        keys = [(colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
-                for v in range(g.n)]
+        keys = [(c, tuple(sorted([colors[w] for w in a])))
+                for c, a in zip(colors, nbrs)]
         palette = {k: i for i, k in enumerate(sorted(set(keys)))}
         new = [palette[k] for k in keys]
         if new == colors:
@@ -79,35 +80,37 @@ def canonical_form(g: Graph) -> tuple[int, int]:
 
     ``bits`` is the least adjacency bitstring (the upper triangle in
     :meth:`Graph.from_bits` order) over the relabelings that preserve the
-    refinement classes, so ``Graph.from_bits(*canonical_form(g))`` is the
-    canonically labeled copy of ``g``.
+    refinement blocks; ``Graph.from_bits(*canonical_form(g))`` is the
+    canonically labeled copy of ``g``. Position by position, the search
+    keeps only the partial orders with the least new column (exact: columns
+    have fixed lengths) and tries one vertex per twin class, ``N(u) - {w} ==
+    N(w) - {u}`` (exact: swapping twins is an automorphism fixing the rest).
     """
-    colors = _refine_colors(g)
-    classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(colors[v], []).append(v)
-    blocks = [tuple(classes[c]) for c in sorted(classes)]
-    masks = [0] * g.n
+    n, nbrs = g.n, [[] for _ in range(g.n)]
     for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-
-    def all_orders(i: int, acc: tuple[int, ...]):
-        if i == len(blocks):
-            yield acc
-            return
-        for perm in permutations(blocks[i]):
-            yield from all_orders(i + 1, acc + perm)
-
-    def bits_of(order: tuple[int, ...]) -> int:
-        bits = 0
-        for j in range(1, g.n):
-            oj = order[j]
-            for i in range(j):
-                bits = (bits << 1) | ((masks[order[i]] >> oj) & 1)
-        return bits
-
-    return g.n, min(map(bits_of, all_orders(0, ())))
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    colors = _refine_colors(nbrs)
+    # (placed, cols): bits v*n.. of cols hold v's column if placed next; v
+    # waits for its lower twins, keyed by N(v) or N[v] (no N(u) is an N[w])
+    adj = [sum(1 << w * n for w in a) for a in nbrs]
+    need, first = [0] * n, {}
+    for v in range(n):
+        for key in (adj[v], adj[v] | 1 << v * n):
+            first[key] = first.get(key, 0) | 1 << v
+            need[v] |= first[key]
+    frontier, bits, full = [(0, 0)], 0, (1 << n) - 1
+    for j, color in enumerate(sorted(colors)):
+        best, picks = full + 1, []
+        for (placed, cols), v in product(frontier, range(n)):
+            if colors[v] == color and placed & need[v] == need[v] ^ 1 << v:
+                col = cols >> v * n & full
+                if col < best:
+                    best, picks = col, []
+                if col == best:
+                    picks.append((placed | 1 << v, cols | adj[v] << n - 1 - j))
+        frontier, bits = picks, (bits << j) | best >> (n - j)
+    return n, bits
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -129,11 +132,8 @@ def _connected_catalog(n: int, max_c: Optional[int]) -> tuple[Graph, ...]:
         return (Graph(1, frozenset()),)
     forms: set[tuple[int, int]] = set()
     for parent in _connected_catalog(n - 1, max_c):
-        pc = cycle_space_dim(parent)
-        budget = None if max_c is None else max_c - pc + 1
-        for size in range(1, n):
-            if budget is not None and size > budget:
-                break
+        top = n - 1 if max_c is None else max_c - cycle_space_dim(parent) + 1
+        for size in range(1, min(n - 1, top) + 1):
             for nbrs in combinations(range(n - 1), size):
                 forms.add(canonical_form(
                     Graph(n, parent.edges | {(v, n - 1) for v in nbrs})))

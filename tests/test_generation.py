@@ -1,18 +1,23 @@
 """Enumeration tests: catalogs vs orbit counting, signature coverage.
 
-The catalog sizes are cross-checked by an independent brute force that
-walks every labeled graph and counts isomorphism classes via the canonical
-form of each; signature enumeration is checked to hit every switching
-class exactly once by comparing canonical signatures of all 2^|E| labeled
+The pruned canonical search is checked against the exhaustive search it
+replaced, kept here as the reference. The catalog sizes are cross-checked
+by an independent brute force that walks every labeled graph and counts
+isomorphism classes via the canonical form of each, and against OEIS
+counts; signature enumeration is checked to hit every switching class
+exactly once by comparing canonical signatures of all 2^|E| labeled
 signatures.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -25,6 +30,7 @@ from snlab import (
     canonical_form,
     canonical_graph,
     canonical_signature,
+    complete_graph,
     count_switching_classes,
     cycle_graph,
     cycle_space_dim,
@@ -32,10 +38,82 @@ from snlab import (
     enumerate_connected,
     enumerate_signatures,
     girth,
+    graph6_encode,
     is_balanced,
     is_connected,
     path_graph,
+    star_graph,
 )
+
+
+def reference_form(g: Graph) -> tuple[int, int]:
+    """The exhaustive search that ``canonical_form`` prunes: the least
+    adjacency bitstring over every relabeling that keeps the refinement
+    blocks in place, the blocks taken in color order."""
+    colors = [g.degree(v) for v in range(g.n)]
+    while True:
+        keys = [(colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
+                for v in range(g.n)]
+        palette = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [palette[k] for k in keys]
+        if new == colors:
+            break
+        colors = new
+    classes: dict[int, list[int]] = {}
+    for v in range(g.n):
+        classes.setdefault(colors[v], []).append(v)
+    blocks = [tuple(classes[c]) for c in sorted(classes)]
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+
+    def all_orders(i: int, acc: tuple[int, ...]):
+        if i == len(blocks):
+            yield acc
+            return
+        for perm in itertools.permutations(blocks[i]):
+            yield from all_orders(i + 1, acc + perm)
+
+    def bits_of(order: tuple[int, ...]) -> int:
+        bits = 0
+        for j in range(1, g.n):
+            oj = order[j]
+            for i in range(j):
+                bits = (bits << 1) | ((masks[order[i]] >> oj) & 1)
+        return bits
+
+    return g.n, min(map(bits_of, all_orders(0, ())))
+
+
+def augmentation_children(n_max: int):
+    """Every graph the catalog build searches for n <= n_max."""
+    for n in range(2, n_max + 1):
+        for parent in enumerate_connected(n - 1):
+            for size in range(1, n):
+                for nbrs in itertools.combinations(range(n - 1), size):
+                    yield Graph(n, parent.edges | {(v, n - 1) for v in nbrs})
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, frozenset((perm[u], perm[v]) for u, v in g.edges))
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, frozenset((i, a + j) for i in range(a) for j in range(b)))
+
+
+def cube() -> Graph:
+    return Graph(8, frozenset((v, v ^ 1 << k) for v in range(8) for k in range(3)
+                              if v < v ^ 1 << k))
+
+
+def petersen() -> Graph:
+    return Graph(10, frozenset(
+        [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]))
 
 
 def labeled_connected_class_count(n: int) -> int:
@@ -75,6 +153,43 @@ class TestCanonicalForm:
             assert canonical_form(cg) == canonical_form(g)
 
 
+class TestPrunedSearch:
+    """The pruned search returns the exhaustive search's form."""
+
+    def test_every_augmentation_child_upto_7(self):
+        count = 0
+        for g in augmentation_children(7):
+            assert canonical_form(g) == reference_form(g), sorted(g.edges)
+            count += 1
+        assert count == 7815
+
+    def test_random_graphs_on_8_vertices(self):
+        rng = random.Random(8)
+        pairs = list(itertools.combinations(range(8), 2))
+        for _ in range(200):
+            p = rng.random()
+            g = Graph(8, frozenset(e for e in pairs if rng.random() < p))
+            assert canonical_form(g) == reference_form(g), sorted(g.edges)
+
+    def test_symmetric_graphs(self):
+        for g in (star_graph(7), complete_graph(8), complete_bipartite(4, 4),
+                  cube(), cycle_graph(8)):
+            assert canonical_form(g) == reference_form(g), sorted(g.edges)
+
+    def test_symmetric_graphs_past_the_reference(self):
+        """The exhaustive search needs over 2 s for K9 alone; every
+        relabeling must give one form, and its graph is a fixed point."""
+        rng = random.Random(12)
+        start = time.perf_counter()
+        for g in (star_graph(11), complete_graph(10), complete_bipartite(5, 5),
+                  petersen(), cycle_graph(12)):
+            forms = {canonical_form(relabeled(g, rng)) for _ in range(3)}
+            assert forms == {canonical_form(g)}
+            cg = canonical_graph(g)
+            assert canonical_graph(cg) == cg
+        assert time.perf_counter() - start < 2.0
+
+
 class TestConnectedCatalog:
     def test_counts_match_orbit_counting(self):
         for n in range(1, 6):
@@ -84,6 +199,22 @@ class TestConnectedCatalog:
     def test_known_class_counts(self):
         counts = [len(list(enumerate_connected(n))) for n in range(1, 8)]
         assert counts == [1, 1, 2, 6, 21, 112, 853]
+
+    def test_n8_catalog_pinned(self):
+        """11,117 graphs (OEIS A001349); the digest of their graph6 lines
+        pins the forms and their order."""
+        catalog = list(enumerate_connected(8))
+        assert len(catalog) == 11117
+        lines = "".join(graph6_encode(g) + "\n" for g in catalog)
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "0531b819bb156b65c84cfa12d7ac82b1bdc4938ff3def49cc306960a51829f5b")
+
+    def test_sparse_counts_past_the_cap(self):
+        """Trees (OEIS A000055) and unicyclic graphs (A001429)."""
+        for n, trees, unicyclic in ((9, 47, 240), (10, 106, 657)):
+            dims = [cycle_space_dim(g)
+                    for g in enumerate_connected(n, max_c=1, cap=10)]
+            assert (dims.count(0), dims.count(1)) == (trees, unicyclic)
 
     def test_pairwise_non_isomorphic(self):
         for n in range(1, 7):
