@@ -21,6 +21,7 @@ and ``upper_check``; with ``--emit-all`` JSON-lines, one object per
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -61,29 +62,25 @@ def _dump_line(obj: dict) -> str:
 
 
 def _open_out(path: Optional[str]):
+    """The file at ``path``, closed on exit, or standard output, left open."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="ascii")
 
 
 def cmd_invariants(args) -> int:
     records = read_sgl(args.input)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         for sg in records:
             rec = invariant_record(sg, check=False)
             out.write(_dump_line(rec.to_json_dict()) + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     records = read_sgl(args.input)
-    out, close = _open_out(args.out)
     disagreed = False
-    try:
+    with _open_out(args.out) as out:
         for i, sg in enumerate(records):
             try:
                 offset = classify_unicyclic(sg)
@@ -100,9 +97,6 @@ def cmd_classify(args) -> int:
                 "index": i, "case": unicyclic_case(offset),
                 "predicted_eta": predicted, "computed_eta": eta,
                 "agreement": agree}) + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_VIOLATION if disagreed else EXIT_OK
 
 
@@ -169,9 +163,8 @@ def cmd_generate(args) -> int:
 
 def cmd_sachs(args) -> int:
     records = read_sgl(args.input)
-    out, close = _open_out(args.out)
     mismatched = False
-    try:
+    with _open_out(args.out) as out:
         for i, sg in enumerate(records):
             if sg.n > SACHS_VERTEX_CAP:
                 raise CapacityError(
@@ -183,9 +176,6 @@ def cmd_sachs(args) -> int:
             mismatched = mismatched or not agree
             out.write(_dump_line({"index": i, "coefficients": list(coeffs),
                                   "agrees_char_poly": agree}) + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_VIOLATION if mismatched else EXIT_OK
 
 
@@ -273,9 +263,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VIOLATION
 
 
-def run() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    run()
+    raise SystemExit(main())

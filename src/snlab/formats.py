@@ -35,20 +35,16 @@ def _g6_size_bytes(n: int) -> str:
 
 
 def graph6_encode(g: Graph) -> str:
-    """One-line graph6 encoding (no trailing newline)."""
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chunks = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        chunks.append(chr(val + 63))
-    return _g6_size_bytes(g.n) + "".join(chunks)
+    """One-line graph6 encoding (no trailing newline): the reverse of
+    :func:`graph6_decode`, in :meth:`Graph.from_bits`'s pair order."""
+    k = g.n * (g.n - 1) // 2
+    data = 0
+    for u, v in g.edges:
+        data |= 1 << (k - 1 - (v * (v - 1) // 2 + u))
+    pad = -k % 6
+    data <<= pad
+    return _g6_size_bytes(g.n) + "".join(
+        chr((data >> s & 63) + 63) for s in range(k + pad - 6, -1, -6))
 
 
 def _g6_char(ch: str) -> str:
@@ -171,6 +167,8 @@ def sgl_loads(text: str) -> list[SignedGraph]:
         u, v = int(su), int(sv)
         if u >= v:
             raise ParseError(f"edge must satisfy u < v, got {u} {v}", lineno)
+        if v >= n:
+            raise ParseError(f"edge ({u},{v}) out of range for n={n}", lineno)
         if ss not in ("+", "-"):
             raise ParseError(f"sign must be '+' or '-', got {ss!r}", lineno)
         if (u, v) in signs:

@@ -14,9 +14,10 @@ the block family realizing every admissible slack value.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .balance import cotree_edges, cycle_sign, is_balanced
 from .errors import TheoremViolation
@@ -309,23 +310,41 @@ def slack_coverage(c: int) -> dict[int, FamilyParams]:
 
 @dataclass
 class CampaignReport:
-    """Aggregated result of a verification sweep.
+    """Aggregated result of a verification sweep; the defaults are the
+    empty report, and :meth:`merge` adds a later chunk's results to it.
 
     ``histogram`` counts slack values keyed by (n, c). ``violations`` holds
     one dict per record breaking the bounds or hitting slack 1 (expected
     empty: their existence would falsify the verified statements, so they
     are first-class data rather than exceptions). ``upper_check`` compares
     the structural upper-bound predicate against eta = upper on every
-    connected graph. ``records`` is populated only when the caller asks for
-    per-signature output.
+    connected graph. ``records`` is a list, filled with every class's row,
+    only when the caller asks for per-signature output, and None otherwise.
     """
 
-    config: dict
-    totals: dict
-    histogram: dict[tuple[int, int], dict[int, int]]
-    violations: list[dict]
-    upper_check: dict
-    records: Optional[list[dict]]
+    config: dict = field(default_factory=dict)
+    totals: dict = field(default_factory=lambda: {
+        "graphs": 0, "signatures": 0, "source_skipped": 0})
+    histogram: dict[tuple[int, int], dict[int, int]] = field(default_factory=dict)
+    violations: list[dict] = field(default_factory=list)
+    upper_check: dict = field(default_factory=lambda: {
+        "tested": 0, "predicate_true": 0, "agreements": 0,
+        "disagreements": [], "skipped_disconnected": 0})
+    records: Optional[list[dict]] = None
+
+    def merge(self, part: CampaignReport) -> None:
+        """Add the counts of ``part`` and append its lists after ours."""
+        for key, value in part.totals.items():
+            self.totals[key] += value
+        for key, by_s in part.histogram.items():
+            slot = self.histogram.setdefault(key, {})
+            for s, cnt in by_s.items():
+                slot[s] = slot.get(s, 0) + cnt
+        self.violations += part.violations
+        for key, value in part.upper_check.items():
+            self.upper_check[key] += value  # a count, or the disagreements
+        if self.records is not None:
+            self.records += part.records
 
     def to_json_dict(self) -> dict:
         hist = {f"{n},{c}": {str(s): cnt for s, cnt in sorted(by_s.items())}
@@ -339,45 +358,38 @@ class CampaignReport:
         return not self.violations and not self.upper_check["disagreements"]
 
 
-class _Profile(NamedTuple):
-    """What the scan needs of one underlying graph, computed once for all
-    its ``2**c`` classes (see :func:`_profile`).
+def _classes(g: Graph) -> Iterator[tuple[int, int, bool]]:
+    """``(pattern, eta, attains)`` for every switching class of ``g``, in
+    pattern order; ``attains`` is :func:`attains_upper` (False on a
+    disconnected graph), balance is ``pattern == 0``.
 
-    Pattern ``t`` stands for the class whose negative edges are the
-    cotree edges ``cotree[i]`` of the set bits ``i`` of ``t``, the
+    Pattern ``t`` stands for the class whose negative edges are the cotree
+    edges ``cotree_edges(g)[i]`` of the set bits ``i`` of ``t``, the
     representative :func:`enumerate_signatures` builds in the same order.
-    """
-
-    connected: bool
-    cotree: tuple[Edge, ...]
-    core: tuple[tuple[int, ...], ...]  # the all-positive pendant-core matrix
-    core_entry: tuple[Optional[tuple[int, int]], ...]  # per cotree edge
-    isolated: int
-    low: int  # the pattern bits below ``low`` only patch the residual
-    inner: tuple[int, ...]  # the core indices those bits touch
-    # (cotree mask, wanted parity) per cycle, or None when no class attains
-    attaining: Optional[tuple[tuple[int, int], ...]]
-
-
-def _profile(g: Graph) -> _Profile:
-    """Profile ``g`` for :func:`_classes`.
-
     On the connected graphs whose cycles are disjoint and whose contraction
     tree is matched, a class attains the upper bound iff each cycle has the
     sign :func:`_attaining_sign` asks; forest edges are positive, so the
     sign of a cycle is the parity of the pattern bits of its cotree edges.
-    ``low`` weighs one elimination of the core per ``2**low`` classes
-    against one of the residual per class, each costing about its size
-    cubed.
+
+    The nullity is ``isolated + k - rank`` of the ``k x k`` pendant core,
+    as in :func:`nullity`. From pattern ``t - 1`` to ``t`` the bits of
+    ``t ^ (t - 1)`` change, so the core matrix follows by negating their
+    entries in place. Once per block of ``2**low`` patterns
+    :func:`eliminate_outside` eliminates the core outside ``inner``, the
+    core indices the bits below ``low`` touch; inside a block only those
+    bits change, and their entries patch the residual, so ``rank = pivots
+    + rank(residual)``. ``low`` weighs one elimination of the core per
+    ``2**low`` classes against one of the residual per class, each costing
+    about its size cubed.
     """
-    cotree = tuple(cotree_edges(g))
+    cotree = cotree_edges(g)
     pos, k, isolated = g.pendant_core
-    core = [[0] * k for _ in range(k)]
+    rows = [[0] * k for _ in range(k)]
     for u, v in g.edges:
         if pos[u] >= 0 and pos[v] >= 0:
-            core[pos[u]][pos[v]] = core[pos[v]][pos[u]] = 1
-    core_entry = tuple((pos[u], pos[v]) if pos[u] >= 0 and pos[v] >= 0 else None
-                       for u, v in cotree)
+            rows[pos[u]][pos[v]] = rows[pos[v]][pos[u]] = 1
+    core_entry = [(pos[u], pos[v]) if pos[u] >= 0 and pos[v] >= 0 else None
+                  for u, v in cotree]
     touched: set[int] = set()
     best = (k ** 3, 0, ())
     for low in range(1, len(cotree) + 1):
@@ -386,9 +398,9 @@ def _profile(g: Graph) -> _Profile:
         if cost < best[0]:
             best = (cost, low, tuple(sorted(touched)))
     _, low, inner = best
+    # (cotree mask, wanted parity) per cycle, or None when no class attains
     attaining = None
-    connected = is_connected(g)
-    disjoint, cycles = (cycles_pairwise_vertex_disjoint(g) if connected
+    disjoint, cycles = (cycles_pairwise_vertex_disjoint(g) if is_connected(g)
                         else (False, None))
     if disjoint:
         wanted = [_attaining_sign(len(cyc)) for cyc in cycles]
@@ -397,28 +409,10 @@ def _profile(g: Graph) -> _Profile:
             attaining = tuple(
                 (sum(bit.get(e, 0) for e in cyc.edge_list()), sign == -1)
                 for cyc, sign in zip(cycles, wanted))
-    return _Profile(connected, cotree, tuple(map(tuple, core)), core_entry,
-                    isolated, low, inner, attaining)
-
-
-def _classes(p: _Profile) -> Iterator[tuple[int, int, bool]]:
-    """``(pattern, eta, attains)`` for every class of the profiled graph,
-    in pattern order; ``attains`` is :func:`attains_upper` (False on a
-    disconnected graph), balance is ``pattern == 0``.
-
-    From pattern ``t - 1`` to ``t`` the bits of ``t ^ (t - 1)`` change, so
-    the core matrix follows by negating their entries in place. Once per
-    block of ``2**low`` patterns :func:`eliminate_outside` eliminates the
-    core outside ``inner``; inside a block only bits below ``low`` change,
-    and their entries patch the residual. The nullity is ``isolated + k -
-    rank``, as in :func:`nullity`, with ``rank = pivots + rank(residual)``.
-    """
-    rows = [list(r) for r in p.core]
-    base = p.isolated + len(rows)
-    core_entry, attaining = p.core_entry, p.attaining
-    at = {v: i for i, v in enumerate(p.inner)}
-    block = (1 << p.low) - 1
-    for t in range(1 << len(p.cotree)):
+    base = isolated + k
+    at = {v: i for i, v in enumerate(inner)}
+    block = (1 << low) - 1
+    for t in range(1 << len(cotree)):
         for i in range((t & -t).bit_length()):  # the bits of t ^ (t - 1)
             if core_entry[i] is not None:
                 a, b = core_entry[i]
@@ -428,29 +422,29 @@ def _classes(p: _Profile) -> Iterator[tuple[int, int, bool]]:
                     residual[at[a]][at[b]] -= 2 * scale[at[a]] * old
                     residual[at[b]][at[a]] -= 2 * scale[at[b]] * old
         if not t & block:
-            pivots, residual, scale = eliminate_outside(rows, p.inner)
+            pivots, residual, scale = eliminate_outside(rows, inner)
         attains = attaining is not None and all(
             (t & mask).bit_count() & 1 == odd for mask, odd in attaining)
         yield t, base - pivots - rank_division_free(residual), attains
 
 
-def _scan_graph(g: Graph, emit_all: bool, acc: dict) -> None:
-    """Scan all signature representatives of one underlying graph into the
-    chunk accumulator ``acc``.
+def _scan_graph(g: Graph, report: CampaignReport) -> None:
+    """Add all signature representatives of one underlying graph to
+    ``report``.
 
-    The bounds and the profile are computed once per graph; each signature
-    adds its nullity and, on a connected graph, the upper-bound predicate.
-    A record is built only when it is emitted, breaks a law or disagrees
-    with the predicate.
+    The bounds are computed once per graph; each signature adds its
+    nullity and, on a connected graph, the upper-bound predicate. A record
+    is built only when it is emitted, breaks a law or disagrees with the
+    predicate.
     """
     n, m, c = g.n, matching_number(g), cycle_space_dim(g)
     lower, upper = _bounds(n, m, c)
     g6 = graph6_encode(g)
-    p = _profile(g)
-    connected = p.connected
-    by_s = acc["hist"].setdefault((n, c), {})
-    up = acc["upper"]
-    for t, eta, predicate in _classes(p):
+    cotree = cotree_edges(g)
+    connected = is_connected(g)
+    by_s = report.histogram.setdefault((n, c), {})
+    up, records = report.upper_check, report.records
+    for t, eta, predicate in _classes(g):
         s = upper - eta
         by_s[s] = by_s.get(s, 0) + 1
         broken = _broken_laws(eta, lower, upper)
@@ -458,47 +452,32 @@ def _scan_graph(g: Graph, emit_all: bool, acc: dict) -> None:
         if connected:
             up["predicate_true"] += predicate
             up["agreements"] += agrees
-        if broken or not agrees or emit_all:
+        if broken or not agrees or records is not None:
             # forest edges are positive: only pattern 0 is balanced
             rec = InvariantRecord(n=n, m=m, c=c, eta=eta, balanced=t == 0,
                                   lower=lower, upper=upper, s=s)
             row = {"graph6": g6,
-                   "negatives": [list(e) for i, e in enumerate(p.cotree)
+                   "negatives": [list(e) for i, e in enumerate(cotree)
                                  if t >> i & 1],
                    **rec.to_json_dict()}
-            acc["violations"].extend({"kind": kind, **row} for kind in broken)
+            report.violations.extend({"kind": kind, **row} for kind in broken)
             if not agrees:
                 up["disagreements"].append({"predicate": predicate, **row})
-            if emit_all:
-                acc["records"].append(row)
-    acc["graphs"] += 1
-    acc["signatures"] += 1 << c
+            if records is not None:
+                records.append(row)
+    report.totals["graphs"] += 1
+    report.totals["signatures"] += 1 << c
     up["tested" if connected else "skipped_disconnected"] += 1 << c
 
 
-def _scan_chunk(args: tuple[tuple[Graph, ...], bool]) -> dict:
-    graphs, emit_all = args
-    acc = {"graphs": 0, "signatures": 0, "hist": {}, "violations": [],
-           "records": [], "upper": {"tested": 0, "predicate_true": 0,
-                                    "agreements": 0, "disagreements": [],
-                                    "skipped_disconnected": 0}}
+def _scan_chunk(task: tuple[tuple[Graph, ...], bool]) -> CampaignReport:
+    """One chunk of the campaign, in a pool worker or in-process; the
+    benchmark's tracer hooks this name to collect worker timings."""
+    graphs, emit_all = task
+    part = CampaignReport(records=[] if emit_all else None)
     for g in graphs:
-        _scan_graph(g, emit_all, acc)
-    return acc
-
-
-def _merge_partial(acc: dict, part: dict) -> None:
-    acc["graphs"] += part["graphs"]
-    acc["signatures"] += part["signatures"]
-    for key, by_s in part["hist"].items():
-        slot = acc["hist"].setdefault(key, {})
-        for s, cnt in by_s.items():
-            slot[s] = slot.get(s, 0) + cnt
-    acc["violations"].extend(part["violations"])
-    acc["records"].extend(part["records"])
-    for k in ("tested", "predicate_true", "agreements", "skipped_disconnected"):
-        acc["upper"][k] += part["upper"][k]
-    acc["upper"]["disagreements"].extend(part["upper"]["disagreements"])
+        _scan_graph(g, part)
+    return part
 
 
 def gap_scan(n_max: int, c_max: Optional[int] = None,
@@ -509,9 +488,9 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
 
     With no ``source``, all connected graphs with 1..n_max vertices are
     enumerated internally (one per isomorphism class); an explicit source
-    supplies underlying graphs instead, filtered by n_max/c_max. Workers
-    split the graph list into chunks; results merge in chunk order, so the
-    report is identical for every worker count.
+    supplies underlying graphs instead, filtered by n_max/c_max. The graph
+    list is cut into chunks, four per worker; results merge in chunk order
+    as they arrive, so the report is identical for every worker count.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -519,8 +498,9 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
         raise ValueError(f"workers must be at least 1, got {workers}")
     if c_max is not None and c_max < 0:
         raise ValueError(f"c_max must be nonnegative, got {c_max}")
+    report = CampaignReport(records=[] if emit_all else None, config={
+        "n_max": n_max, "c_max": c_max, "source": source_label, "emit_all": emit_all})
     graphs: list[Graph] = []
-    skipped = 0
     if source is None:
         # check the whole range before enumerating anything, so exceeding
         # the cap fails immediately instead of after the affordable part
@@ -530,29 +510,16 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
     else:
         for g in source:
             if g.n > n_max or (c_max is not None and cycle_space_dim(g) > c_max):
-                skipped += 1
+                report.totals["source_skipped"] += 1
                 continue
             graphs.append(g)
 
-    if workers == 1 or len(graphs) <= 1:
-        merged = _scan_chunk((tuple(graphs), emit_all))
-    else:
-        chunk_size = max(1, (len(graphs) + workers * 4 - 1) // (workers * 4))
-        chunks = [tuple(graphs[i:i + chunk_size])
-                  for i in range(0, len(graphs), chunk_size)]
-        with multiprocessing.get_context("fork").Pool(
-                min(workers, len(chunks))) as pool:
-            merged, *rest = pool.map(_scan_chunk,
-                                     [(ch, emit_all) for ch in chunks])
-        for part in rest:
-            _merge_partial(merged, part)
-
-    config = {"n_max": n_max, "c_max": c_max, "source": source_label,
-              "emit_all": emit_all}
-    totals = {"graphs": merged["graphs"], "signatures": merged["signatures"],
-              "source_skipped": skipped}
-    return CampaignReport(config=config, totals=totals,
-                          histogram=merged["hist"],
-                          violations=merged["violations"],
-                          upper_check=merged["upper"],
-                          records=merged["records"] if emit_all else None)
+    size = -(-len(graphs) // (4 * workers)) or 1
+    tasks = [(tuple(graphs[i:i + size]), emit_all)
+             for i in range(0, len(graphs), size)]
+    pool = (multiprocessing.get_context("fork").Pool(min(workers, len(tasks)))
+            if workers > 1 and len(tasks) > 1 else None)
+    with pool or contextlib.nullcontext():
+        for part in (pool.imap if pool else map)(_scan_chunk, tasks):
+            report.merge(part)
+    return report

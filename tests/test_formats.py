@@ -200,9 +200,14 @@ class TestSglErrors:
         assert exc.value.line == 2
 
     def test_endpoint_out_of_range(self):
+        """Reported at the edge's own line, in any record."""
         with pytest.raises(ParseError) as exc:
-            sgl_loads("# leading comment\n2\n0 5 +\n")
-        assert exc.value.line == 2  # reported at the record's count line
+            sgl_loads("2\n0 5 +\n")
+        assert exc.value.line == 2
+        assert "edge (0,5) out of range for n=2" in str(exc.value)
+        with pytest.raises(ParseError) as exc:
+            sgl_loads("2\n0 1 +\n\n3\n0 1 +\n1 3 -\n")
+        assert exc.value.line == 6
 
     def test_duplicate_edge(self):
         with pytest.raises(ParseError) as exc:

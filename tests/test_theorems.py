@@ -38,15 +38,46 @@ from snlab import (
     path_graph,
     pendant_reduction,
     pendant_vertices,
+    read_graph6,
     slack_coverage,
     star_graph,
     unicyclic_case,
     vertices_on_cycles,
+    write_graph6,
 )
-from snlab.balance import is_balanced
-from snlab.generation import enumerate_signatures
+from snlab.balance import cotree_edges, is_balanced
+from snlab.generation import enumerate_connected, enumerate_signatures
 from snlab.graphs import is_connected
-from snlab.theorems import _classes, _profile
+from snlab.theorems import _classes
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Make ``gap_scan``'s pools record their size and the chunks they are
+    given, and run the chunks in-process, in order, so no process is
+    started; yields ``(sizes, chunks)``."""
+    sizes, chunks = [], []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            for item in items:
+                chunks.append(item)
+                yield fn(item)
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+    yield sizes, chunks
 
 
 def square_with_tail() -> Graph:
@@ -368,35 +399,35 @@ class TestGapScan:
         with pytest.raises(ValueError):
             gap_scan(4, c_max=-1, source=[path_graph(1)])
 
-    def test_no_more_pool_processes_than_chunks(self, monkeypatch):
-        """A fake pool records its size and maps in-process, so no process
-        is started."""
-        sizes, chunks = [], []
-
-        class FakePool:
-            def __init__(self, size):
-                sizes.append(size)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                chunks.extend(items)
-                return [fn(item) for item in items]
-
-        class FakeContext:
-            Pool = FakePool
-
+    def test_no_more_pool_processes_than_chunks(self, fake_pool):
+        sizes, chunks = fake_pool
         one = gap_scan(3, workers=1, emit_all=True)
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            lambda method: FakeContext)
         many = gap_scan(3, workers=16, emit_all=True)
         assert sizes == [len(chunks)] == [4]
         assert many.to_json_dict() == one.to_json_dict()
         assert many.records == one.records
+
+    def test_pool_merge_equals_one_worker(self, tmp_path, fake_pool,
+                                          wrong_nullity):
+        """Chunks merge in order: counts add up and the lists (violations,
+        disagreements, records) concatenate as one worker builds them.
+        The wrong values of ``wrong_nullity`` put entries in every list."""
+        sizes, chunks = fake_pool
+        graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+        graphs[2:2] = [cycle_graph(8), Graph(4, frozenset({(0, 1)}))]
+        graphs += [disjoint_union(cycle_graph(3), path_graph(3)),
+                   path_graph(9), disjoint_union(path_graph(2), path_graph(2))]
+        path = tmp_path / "mixed.g6"
+        write_graph6(graphs, str(path))
+        one, four = (gap_scan(6, source=read_graph6(str(path)), workers=w,
+                              emit_all=True) for w in (1, 4))
+        assert sizes == [4] and len(chunks) == 12  # 34 kept, 3 a chunk
+        assert four.to_json_dict() == one.to_json_dict()
+        assert four.records == one.records
+        assert one.totals["source_skipped"] == 2
+        assert one.upper_check["skipped_disconnected"] == 1 + 2 + 1
+        assert len(one.violations) == 3
+        assert len(one.upper_check["disagreements"]) == 3
 
 
 class TestGapScanSingleSource:
@@ -418,17 +449,15 @@ class TestGapScanSingleSource:
 
 class TestClassScan:
     """The scan's per-class nullity, balance and predicate, read off the
-    graph's profile without building a signed graph, against the
+    cotree patterns without building a signed graph, against the
     object-building reference paths."""
 
     @staticmethod
     def assert_matches_reference(g: Graph) -> None:
-        profile = _profile(g)
-        connected = is_connected(g)
-        assert profile.connected == connected
+        connected, cotree = is_connected(g), cotree_edges(g)
         for (pattern, eta, attains), sg in itertools.zip_longest(
-                _classes(profile), enumerate_signatures(g)):
-            assert sg.negatives == {e for i, e in enumerate(profile.cotree)
+                _classes(g), enumerate_signatures(g)):
+            assert sg.negatives == {e for i, e in enumerate(cotree)
                                     if pattern >> i & 1}
             assert eta == nullity(sg)
             assert (pattern == 0) == is_balanced(sg).balanced
