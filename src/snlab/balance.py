@@ -10,9 +10,10 @@ that makes everything positive, or a concrete negative cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .graphs import Cycle, Edge, Graph, SignedGraph, is_cycle_of
+from .graphs import (Cycle, Edge, Graph, SignedGraph, fundamental_cycle,
+                     is_cycle_of)
 
 
 def cycle_sign(sg: SignedGraph, c: Cycle) -> int:
@@ -85,25 +86,6 @@ def _forest_signing(sg: SignedGraph) -> list[int]:
     return mu
 
 
-def _fundamental_cycle(parent: Sequence[int], u: int, v: int) -> Cycle:
-    """Cycle formed by the forest paths from ``u`` and ``v`` to their
-    lowest common ancestor, closed by the edge (u, v)."""
-    anc_u = [u]
-    x = u
-    while parent[x] != -1:
-        x = parent[x]
-        anc_u.append(x)
-    pos = {w: i for i, w in enumerate(anc_u)}
-    path_v = [v]
-    x = v
-    while x not in pos:
-        x = parent[x]
-        path_v.append(x)
-    lca = x
-    walk = anc_u[:pos[lca]] + [lca] + list(reversed(path_v[:-1]))
-    return Cycle(tuple(walk))
-
-
 def is_balanced(sg: SignedGraph) -> BalanceResult:
     """Decide balance, returning verified evidence.
 
@@ -116,7 +98,7 @@ def is_balanced(sg: SignedGraph) -> BalanceResult:
     for u, v in cotree_edges(sg.graph):
         if mu[u] * mu[v] * sg.sign(u, v) == -1:
             return BalanceResult(
-                False, None, _fundamental_cycle(sg.graph._forest[0], u, v))
+                False, None, fundamental_cycle(sg.graph, u, v))
     return BalanceResult(True, tuple(mu), None)
 
 

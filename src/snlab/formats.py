@@ -130,17 +130,13 @@ def sgl_loads(text: str) -> list[SignedGraph]:
     records: list[SignedGraph] = []
     n: int | None = None
     signs: dict[Edge, int] = {}
-    start_line = 0
 
     def flush():
+        # every bad edge was rejected at its own line, so this cannot fail
         nonlocal n, signs
         if n is None:
             return
-        try:
-            records.append(SignedGraph.with_signs(Graph(n, frozenset(signs)),
-                                                  signs))
-        except ValueError as exc:
-            raise ParseError(str(exc), start_line) from exc
+        records.append(SignedGraph.with_signs(Graph(n, frozenset(signs)), signs))
         n = None
         signs = {}
 
@@ -157,7 +153,6 @@ def sgl_loads(text: str) -> list[SignedGraph]:
                 raise ParseError(f"expected a vertex count, got {raw.strip()!r}",
                                  lineno)
             n = int(parts[0])
-            start_line = lineno
             continue
         if len(parts) != 3:
             raise ParseError(f"expected 'u v sign', got {raw.strip()!r}", lineno)

@@ -134,16 +134,19 @@ class Graph:
     @cached_property
     def _disjoint_cycles(self) -> Optional[tuple[Cycle, ...]]:
         """The cycles sorted by vertices, or None when two share a vertex;
-        see :func:`cycles_pairwise_vertex_disjoint`."""
+        see :func:`cycles_pairwise_vertex_disjoint`. Walks the fundamental
+        cycle of each non-forest edge and stops at the first shared
+        vertex."""
+        parent = self._forest[0]
         cycles = []
         seen: set[int] = set()
-        for b in blocks(self):
-            if len(b.edges) == 1:
-                continue
-            if len(b.edges) != len(b.vertices) or seen & b.vertices:
-                return None
-            seen |= b.vertices
-            cycles.append(_block_cycle(b))
+        for u, v in self.edges:
+            if parent[u] != v and parent[v] != u:
+                cyc = fundamental_cycle(self, u, v)
+                if not seen.isdisjoint(cyc.vertices):
+                    return None
+                seen.update(cyc.vertices)
+                cycles.append(cyc)
         cycles.sort(key=lambda c: c.vertices)
         return tuple(cycles)
 
@@ -266,6 +269,21 @@ class Cycle:
 def is_cycle_of(g: Graph, c: Cycle) -> bool:
     """True when consecutive vertices of ``c`` are adjacent in ``g``."""
     return all(g.has_edge(u, v) for u, v in c.edge_list())
+
+
+def fundamental_cycle(g: Graph, u: int, v: int) -> Cycle:
+    """The cycle that the non-forest edge (u, v) closes in the canonical
+    spanning forest: the forest paths from ``u`` and ``v`` to their lowest
+    common ancestor, closed by the edge."""
+    parent = g._forest[0]
+    anc_u = [u]
+    while parent[anc_u[-1]] != -1:
+        anc_u.append(parent[anc_u[-1]])
+    pos = {w: i for i, w in enumerate(anc_u)}
+    path_v = [v]
+    while path_v[-1] not in pos:
+        path_v.append(parent[path_v[-1]])
+    return Cycle(tuple(anc_u[:pos[path_v[-1]]] + path_v[::-1]))
 
 
 @dataclass(frozen=True)
@@ -453,35 +471,17 @@ def vertices_on_cycles(g: Graph) -> frozenset[int]:
 def cycles_pairwise_vertex_disjoint(g: Graph):
     """Whether all cycles of ``g`` are pairwise vertex-disjoint.
 
-    Equivalent to every block being a single edge or a single cycle AND no
-    vertex lying in two cycle blocks (cycle blocks may still meet at cut
-    vertices otherwise). Returns ``(True, cycles)`` with one :class:`Cycle`
-    per cycle block (their count then equals the cycle-space dimension), or
-    ``(False, None)``. The decomposition is computed once per graph; each
-    call returns a fresh list.
+    Decided on the fundamental cycles of the canonical spanning forest,
+    one per non-forest edge. Every cycle is the sum (symmetric difference)
+    of the fundamental cycles of its non-forest edges, and a sum of two or
+    more pairwise vertex-disjoint cycles is disconnected, so when the
+    fundamental cycles are pairwise disjoint they are all the cycles.
+    Returns ``(True, cycles)``, sorted by vertices (their count is then the
+    cycle-space dimension), or ``(False, None)``. The answer is computed
+    once per graph; each call returns a fresh list.
     """
     cycles = g._disjoint_cycles
     return (False, None) if cycles is None else (True, list(cycles))
-
-
-def _block_cycle(b: Block) -> Cycle:
-    # a 2-connected block with |E| == |V| is a single cycle; walk it
-    adj: dict[int, list[int]] = {v: [] for v in b.vertices}
-    for u, v in b.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    start = min(b.vertices)
-    walk = [start]
-    prev = -1
-    cur = start
-    while True:
-        nxt = min(w for w in adj[cur] if w != prev) if prev == -1 else \
-            next(w for w in adj[cur] if w != prev)
-        if nxt == start:
-            break
-        walk.append(nxt)
-        prev, cur = cur, nxt
-    return Cycle(tuple(walk))
 
 
 def contract_cycles(g: Graph) -> ContractionTree:

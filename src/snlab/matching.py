@@ -1,9 +1,10 @@
 """Maximum matchings: blossom algorithm, brute-force oracle, counting.
 
 Two independent routes to the matching number are kept on purpose. The
-blossom implementation is the fast path used everywhere; the brute-force
-recursion exists so tests can cross-check it on every small graph rather
-than trusting a single implementation.
+fast path strips pendant pairs and runs the blossom algorithm on the
+pendant core that is left (never on a forest); the brute-force recursion
+exists so tests can cross-check it on every small graph rather than
+trusting a single implementation.
 
 All functions that return a concrete matching return the canonical one:
 lexicographically least sorted edge tuple among all maximum matchings.
@@ -129,9 +130,17 @@ def _blossom_pairs(adj: tuple[tuple[int, ...], ...]) -> list[int]:
 
 
 def matching_number(g: Graph) -> int:
-    """Size of a maximum matching."""
-    pairs = _blossom_pairs(g._adj)
-    return sum(1 for v in pairs if v != -1) // 2
+    """Size of a maximum matching: one edge per pendant pair stripped off
+    (some maximum matching uses any given pendant edge; Karp and Sipser,
+    1981) plus the blossom's answer on the pendant core, so forests need
+    no blossom run."""
+    pos, k, isolated = g.pendant_core
+    stripped = (g.n - k - isolated) // 2
+    if k == 0:
+        return stripped
+    core = tuple(tuple(pos[w] for w in g._adj[v] if pos[w] != -1)
+                 for v in range(g.n) if pos[v] != -1)
+    return stripped + sum(1 for v in _blossom_pairs(core) if v != -1) // 2
 
 
 def max_matching(g: Graph) -> Matching:
@@ -224,7 +233,8 @@ def unique_cycle(g: Graph) -> Cycle:
     """The single cycle of a connected unicyclic graph."""
     if not is_connected(g) or cycle_space_dim(g) != 1:
         raise StructureError("expected a connected graph with exactly one cycle")
-    # connected with cycle-space dimension 1: exactly one cycle block
+    # connected with cycle-space dimension 1: one non-forest edge, whose
+    # fundamental cycle is the only cycle
     _, (cycle,) = cycles_pairwise_vertex_disjoint(g)
     return cycle
 

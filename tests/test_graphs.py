@@ -2,6 +2,7 @@
 contraction, pendant classification, girth."""
 
 import itertools
+import random
 
 import pytest
 
@@ -235,6 +236,59 @@ class TestDisjointCycles:
                 assert all(is_cycle_of(g, c) for c in cycles)
                 covered = [v for c in cycles for v in c.vertices]
                 assert len(covered) == len(set(covered))
+
+    def test_bowtie_not_disjoint(self):
+        bowtie = Graph(5, frozenset([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]))
+        assert cycles_pairwise_vertex_disjoint(bowtie) == (False, None)
+
+    def test_cycles_in_different_components(self):
+        g = disjoint_union(path_graph(2),
+                           disjoint_union(cycle_graph(5), cycle_graph(3)))
+        ok, cycles = cycles_pairwise_vertex_disjoint(g)
+        assert ok and cycles == [Cycle((2, 3, 4, 5, 6)), Cycle((7, 8, 9))]
+
+    def test_matches_block_reference_on_all_labelled_graphs_upto_5(self):
+        for n in range(6):
+            for bits in range(1 << (n * (n - 1) // 2)):
+                _assert_matches_blocks(Graph.from_bits(n, bits))
+
+    def test_matches_block_reference_on_connected_graphs_upto_7(self, graphs_upto_7):
+        for g in graphs_upto_7:
+            _assert_matches_blocks(g)
+
+    def test_matches_block_reference_on_random_graphs(self):
+        rng = random.Random(20261018)
+        outcomes = {True: 0, False: 0}
+        for _ in range(2000):
+            n = rng.randrange(8, 31)
+            m = rng.randrange(n // 2, n + 5)
+            edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(m)}
+            g = Graph(n, frozenset(edges))
+            ok = _assert_matches_blocks(g)
+            outcomes[ok and cycle_space_dim(g) > 0] += 1
+        assert min(outcomes.values()) > 200  # both answers, with cycles
+
+
+def _disjoint_cycles_by_blocks(g):
+    """The slow reference: the cycle blocks' edge sets ordered by least
+    vertex, or None when a block is neither an edge nor a cycle or two cycle
+    blocks share a vertex."""
+    cycle_blocks = [b for b in blocks(g) if len(b.edges) > 1]
+    seen = set()
+    for b in cycle_blocks:
+        if len(b.edges) != len(b.vertices) or seen & b.vertices:
+            return None
+        seen |= b.vertices
+    return [b.edges for b in sorted(cycle_blocks, key=lambda b: min(b.vertices))]
+
+
+def _assert_matches_blocks(g):
+    ok, cycles = cycles_pairwise_vertex_disjoint(g)
+    expected = _disjoint_cycles_by_blocks(g)
+    assert ok == (expected is not None), g
+    if ok:
+        assert [frozenset(c.edge_list()) for c in cycles] == expected, g
+    return ok
 
 
 class TestPendantCore:

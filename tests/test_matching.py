@@ -8,6 +8,7 @@ counts and an independent augmenting-path check.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -37,6 +38,8 @@ from snlab import (
     star_graph,
     unique_cycle,
 )
+from snlab.matching import _blossom_pairs
+
 from conftest import connected_graphs_upto
 
 
@@ -72,10 +75,18 @@ class TestMatchingDataclass:
         assert m.covers(0) and m.covers(1) and not m.covers(2)
 
 
+def blossom_number(g: Graph) -> int:
+    """The blossom's matching number of the whole graph, pendant pairs and
+    all, which ``matching_number`` leaves to the pendant core."""
+    return sum(1 for v in _blossom_pairs(g._adj) if v != -1) // 2
+
+
 class TestBlossomAgainstBruteForce:
     def test_exhaustive_upto_7(self, graphs_upto_7):
         for g in graphs_upto_7:
-            assert matching_number(g) == brute_force_max_matching(g).size
+            size = brute_force_max_matching(g).size
+            assert matching_number(g) == size
+            assert blossom_number(g) == size
 
     def test_sparse_catalog_n8(self):
         count = 0
@@ -83,7 +94,9 @@ class TestBlossomAgainstBruteForce:
             if g.n < 8:
                 continue
             count += 1
-            assert matching_number(g) == brute_force_max_matching(g).size
+            size = brute_force_max_matching(g).size
+            assert matching_number(g) == size
+            assert blossom_number(g) == size
         assert count > 100  # trees, unicyclic and bicyclic graphs on 8 vertices
 
     def test_seeded_random_graphs(self):
@@ -95,7 +108,9 @@ class TestBlossomAgainstBruteForce:
             if len(g.edges) > BRUTE_FORCE_EDGE_CAP:
                 continue
             checked += 1
-            assert matching_number(g) == brute_force_max_matching(g).size
+            size = brute_force_max_matching(g).size
+            assert matching_number(g) == size
+            assert blossom_number(g) == size
 
     def test_known_matching_numbers(self):
         assert matching_number(path_graph(4)) == 2
@@ -112,6 +127,25 @@ class TestBlossomAgainstBruteForce:
         g = Graph(7, frozenset(edges))
         assert matching_number(g) == 3
         assert brute_force_max_matching(g).size == 3
+
+    def test_pendant_core_route_equals_whole_graph_blossom(self):
+        # a random graph on the first core_n vertices; each later vertex
+        # hangs off an earlier one (growing pendant trees) or stays isolated
+        rng = random.Random(20261018)
+        kinds = collections.Counter()
+        for _ in range(300):
+            core_n = rng.randrange(0, 11)
+            n = core_n + rng.randrange(1, 16)
+            edges = {e for e in itertools.combinations(range(core_n), 2)
+                     if rng.random() < 0.6}
+            for v in range(core_n, n):
+                if v and rng.random() < 0.85:
+                    edges.add((rng.randrange(v), v))
+            g = Graph(n, frozenset(edges))
+            _, k, isolated = g.pendant_core
+            kinds[k > 0, isolated > 0] += 1
+            assert matching_number(g) == blossom_number(g)
+        assert len(kinds) == 4 and min(kinds.values()) > 10
 
 
 class TestCanonicalMatching:

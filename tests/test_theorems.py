@@ -9,7 +9,9 @@ and error paths.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import multiprocessing
 import random
 
@@ -203,6 +205,53 @@ class TestClassifyUnicyclic:
             assert offset in (-1, 0, 2)
             rec = invariant_record(sg, check=False)
             assert rec.eta == rec.n - 2 * rec.m + offset
+
+
+def _record_graphs(count: int, seed: int) -> list[SignedGraph]:
+    """Random connected signed graphs with 12-40 vertices: a random labelled
+    tree plus ``c`` (0-6) distinct extra edges, every edge signed at
+    random, so the cycle-space dimension is exactly ``c``."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, c = rng.randrange(12, 41), rng.randrange(7)
+        label = list(range(n))
+        rng.shuffle(label)
+        edges = set()
+        for i in range(1, n):
+            u, v = label[i], label[rng.randrange(i)]
+            edges.add((min(u, v), max(u, v)))
+        while len(edges) < n - 1 + c:
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        signs = {e: rng.choice((1, -1)) for e in sorted(edges)}
+        out.append(SignedGraph.with_signs(Graph(n, frozenset(edges)), signs))
+    return out
+
+
+class TestPerRecordPath:
+    """The per-record queries behind ``snlab invariants``/``classify`` on
+    graphs far past the exhaustive sizes."""
+
+    def test_predicates_agree_with_nullity_and_answers_are_pinned(self):
+        answers = []
+        unicyclic = 0
+        for sg in _record_graphs(200, 20261018):
+            rec = invariant_record(sg)
+            attains = attains_upper(sg)
+            assert attains == (rec.eta == rec.upper)
+            offset = None
+            if rec.c == 1 and not rec.balanced:
+                offset = classify_unicyclic(sg)
+                assert rec.eta == rec.n - 2 * rec.m + offset
+                unicyclic += 1
+            answers.append([rec.n, rec.m, rec.c, rec.eta, rec.balanced,
+                            attains, offset])
+        assert unicyclic >= 10
+        assert sum(a[5] for a in answers) >= 10  # some attain the bound
+        body = json.dumps(answers, separators=(",", ":"))
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "0e66e11601a8743e1de3f8f248c393bb4829e82d34bc1e4517eb6101c369495b")
 
 
 class TestPendantReduction:
