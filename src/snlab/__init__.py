@@ -16,8 +16,8 @@ from .generation import (CAPACITY_OVERRIDE_ENV, ENUMERATION_VERTEX_CAP,
                          canonical_form, canonical_graph, count_switching_classes,
                          effective_vertex_cap, enumerate_connected,
                          enumerate_signatures)
-from .graphs import (Block, ContractionTree, Cycle, Graph, PendantType, SignedGraph,
-                     blocks, complete_graph, connected_components, contract_cycles,
+from .graphs import (ContractionTree, Cycle, Graph, PendantType, SignedGraph,
+                     complete_graph, connected_components, contract_cycles,
                      cycle_graph, cycle_space_dim, cycles_pairwise_vertex_disjoint,
                      delete_vertices, disjoint_union, girth, induced_subgraph,
                      is_connected, num_components, path_graph, pendant_type,

@@ -22,8 +22,8 @@ def cycle_sign(sg: SignedGraph, c: Cycle) -> int:
     if not is_cycle_of(sg.graph, c):
         raise ValueError(f"{c!r} is not a cycle of the graph")
     s = 1
-    for u, v in c.edge_list():
-        s *= sg.sign(u, v)
+    for e in c.edge_list():
+        s *= -1 if e in sg.negatives else 1
     return s
 
 
@@ -82,7 +82,8 @@ def _forest_signing(sg: SignedGraph) -> list[int]:
     for v in order:
         p = parent[v]
         if p != -1:
-            mu[v] = mu[p] * sg.sign(p, v)
+            e = (p, v) if p < v else (v, p)
+            mu[v] = mu[p] * (-1 if e in sg.negatives else 1)
     return mu
 
 
@@ -96,7 +97,7 @@ def is_balanced(sg: SignedGraph) -> BalanceResult:
     """
     mu = _forest_signing(sg)
     for u, v in cotree_edges(sg.graph):
-        if mu[u] * mu[v] * sg.sign(u, v) == -1:
+        if mu[u] * mu[v] * (-1 if (u, v) in sg.negatives else 1) == -1:
             return BalanceResult(
                 False, None, fundamental_cycle(sg.graph, u, v))
     return BalanceResult(True, tuple(mu), None)

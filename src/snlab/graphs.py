@@ -12,7 +12,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import StructureError
 
@@ -21,6 +21,37 @@ Edge = tuple[int, int]
 
 def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+def _strip_pendants(adj) -> tuple[list[bool], int]:
+    """Strip pendant pairs off the graph with adjacency lists ``adj``:
+    ``(alive, isolated)``.
+
+    Repeatedly deletes a degree-1 vertex together with its neighbour; a
+    vertex left without neighbours (or without any to begin with) is
+    deleted too and counted in ``isolated``. ``alive[v]`` tells whether
+    ``v`` survived.
+    """
+    deg = [len(b) for b in adj]
+    alive = [True] * len(adj)
+    isolated = 0
+    todo = [v for v in range(len(adj) - 1, -1, -1) if deg[v] <= 1]
+    while todo:
+        u = todo.pop()
+        if not alive[u]:
+            continue
+        alive[u] = False
+        if deg[u] == 0:
+            isolated += 1
+            continue
+        v = next(w for w in adj[u] if alive[w])
+        alive[v] = False
+        for w in adj[v]:
+            if alive[w]:
+                deg[w] -= 1
+                if deg[w] <= 1:
+                    todo.append(w)
+    return alive, isolated
 
 
 @dataclass(frozen=True)
@@ -96,33 +127,12 @@ class Graph:
     def pendant_core(self) -> tuple[tuple[int, ...], int, int]:
         """What is left after stripping pendant pairs: ``(pos, k, isolated)``.
 
-        Repeatedly deletes a degree-1 vertex together with its neighbour; a
-        vertex left without neighbours (or without any to begin with) is
-        deleted too and counted in ``isolated``. The ``k`` survivors form a
-        graph with no vertex of degree 0 or 1; ``pos[v]`` is the index of
-        ``v`` among them, or -1 when ``v`` was deleted. Signs play no part,
-        so one core serves every signature of the graph.
+        See :func:`_strip_pendants`. The ``k`` survivors form a graph with
+        no vertex of degree 0 or 1; ``pos[v]`` is the index of ``v`` among
+        them, or -1 when ``v`` was deleted. Signs play no part, so one core
+        serves every signature of the graph.
         """
-        adj = self._adj
-        deg = [len(b) for b in adj]
-        alive = [True] * self.n
-        isolated = 0
-        todo = [v for v in range(self.n - 1, -1, -1) if deg[v] <= 1]
-        while todo:
-            u = todo.pop()
-            if not alive[u]:
-                continue
-            alive[u] = False
-            if deg[u] == 0:
-                isolated += 1
-                continue
-            v = next(w for w in adj[u] if alive[w])
-            alive[v] = False
-            for w in adj[v]:
-                if alive[w]:
-                    deg[w] -= 1
-                    if deg[w] <= 1:
-                        todo.append(w)
+        alive, isolated = _strip_pendants(self._adj)
         pos = [-1] * self.n
         k = 0
         for v in range(self.n):
@@ -137,16 +147,13 @@ class Graph:
         see :func:`cycles_pairwise_vertex_disjoint`. Walks the fundamental
         cycle of each non-forest edge and stops at the first shared
         vertex."""
-        parent = self._forest[0]
         cycles = []
         seen: set[int] = set()
-        for u, v in self.edges:
-            if parent[u] != v and parent[v] != u:
-                cyc = fundamental_cycle(self, u, v)
-                if not seen.isdisjoint(cyc.vertices):
-                    return None
-                seen.update(cyc.vertices)
-                cycles.append(cyc)
+        for cyc in _fundamental_cycles(self):
+            if not seen.isdisjoint(cyc.vertices):
+                return None
+            seen.update(cyc.vertices)
+            cycles.append(cyc)
         cycles.sort(key=lambda c: c.vertices)
         return tuple(cycles)
 
@@ -286,6 +293,13 @@ def fundamental_cycle(g: Graph, u: int, v: int) -> Cycle:
     return Cycle(tuple(anc_u[:pos[path_v[-1]]] + path_v[::-1]))
 
 
+def _fundamental_cycles(g: Graph) -> Iterator[Cycle]:
+    """The fundamental cycle of each non-forest edge, in edge-set order."""
+    parent = g._forest[0]
+    return (fundamental_cycle(g, u, v) for u, v in g.edges
+            if parent[u] != v and parent[v] != u)
+
+
 @dataclass(frozen=True)
 class ContractionTree:
     """Result of contracting each (vertex-disjoint) cycle to a single vertex.
@@ -298,12 +312,6 @@ class ContractionTree:
     tree: Graph
     cyclic_vertices: frozenset[int]
     origin: tuple[Union[int, Cycle], ...]
-
-    @cached_property
-    def core(self) -> Graph:
-        """The tree with all cyclic vertices deleted (densely relabeled)."""
-        g, _ = delete_vertices(self.tree, self.cyclic_vertices)
-        return g
 
 
 class PendantType(enum.Enum):
@@ -389,83 +397,11 @@ def pendant_vertices(g: Graph) -> tuple[int, ...]:
     return tuple(v for v in range(g.n) if g.degree(v) == 1)
 
 
-# ---------------------------------------------------------------------------
-# blocks (maximal 2-connected subgraphs and bridges)
-
-@dataclass(frozen=True)
-class Block:
-    vertices: frozenset[int]
-    edges: frozenset[Edge]
-
-    def contains_cycle(self) -> bool:
-        return len(self.edges) >= len(self.vertices)
-
-
-def blocks(g: Graph) -> list[Block]:
-    """Block decomposition; every edge belongs to exactly one block.
-
-    Isolated vertices belong to no block. Deterministic order (by sorted
-    edge lists).
-    """
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    timer = 0
-    estack: list[Edge] = []
-    found: list[list[Edge]] = []
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, iter(g.neighbors(root)))]
-        while stack:
-            v, it = stack[-1]
-            w = next(it, None)
-            if w is None:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= disc[u]:
-                        comp = []
-                        while True:
-                            e = estack.pop()
-                            comp.append(e)
-                            if e == (u, v):
-                                break
-                        found.append(comp)
-                continue
-            if w == parent[v]:
-                continue
-            if disc[w] == -1:
-                parent[w] = v
-                estack.append((v, w))
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, iter(g.neighbors(w))))
-            elif disc[w] < disc[v]:
-                estack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-    out = []
-    for comp in found:
-        es = frozenset(_norm_edge(u, v) for u, v in comp)
-        vs = frozenset(v for e in es for v in e)
-        out.append(Block(vs, es))
-    out.sort(key=lambda b: sorted(b.edges))
-    return out
-
-
 def vertices_on_cycles(g: Graph) -> frozenset[int]:
-    """Vertices lying on at least one cycle."""
-    out: set[int] = set()
-    for b in blocks(g):
-        if b.contains_cycle():
-            out |= b.vertices
-    return frozenset(out)
+    """Vertices lying on at least one cycle: those of the fundamental
+    cycles. Every edge of a cycle C lies on the fundamental cycle of one of
+    C's non-forest edges, since C is the sum of those fundamental cycles."""
+    return frozenset(v for cyc in _fundamental_cycles(g) for v in cyc.vertices)
 
 
 def cycles_pairwise_vertex_disjoint(g: Graph):

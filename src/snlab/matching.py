@@ -16,9 +16,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapacityError, StructureError
-from .graphs import (ContractionTree, Cycle, Edge, Graph, contract_cycles,
+from .graphs import (Cycle, Edge, Graph, _strip_pendants, contract_cycles,
                      cycle_space_dim, cycles_pairwise_vertex_disjoint,
-                     induced_subgraph, is_connected)
+                     delete_vertices, induced_subgraph, is_connected)
 
 BRUTE_FORCE_EDGE_CAP = 24
 
@@ -262,23 +262,34 @@ def matching_sets(g: Graph) -> MatchingSets:
     cyc = unique_cycle(g)
     on = set(cyc.vertices)
     boundary = frozenset(e for e in g.edges if (e[0] in on) != (e[1] in on))
-    t = contract_cycles(g)
-    core = t.core
+    offcycle, _ = delete_vertices(g, cyc.vertices)
     maxima = enumerate_maximum_matchings(g)
     meeting = sum(1 for m in maxima if any(e in boundary for e in m))
     return MatchingSets(
         boundary_edges=boundary,
         num_max=len(maxima),
-        num_max_offcycle=len(enumerate_maximum_matchings(core)),
+        num_max_offcycle=len(enumerate_maximum_matchings(offcycle)),
         num_meeting_boundary=meeting,
         num_avoiding_boundary=len(maxima) - meeting,
     )
 
 
-def contraction_matched(t: ContractionTree) -> bool:
-    """Whether the contraction tree and the tree minus its cyclic vertices
-    have equal matching numbers."""
-    return matching_number(t.tree) == matching_number(t.core)
+def contraction_matched(g: Graph) -> bool:
+    """Whether the cycle-contraction tree of ``g`` (whose cycles must be
+    pairwise vertex-disjoint) and that tree minus its cyclic vertices have
+    equal matching numbers.
+
+    Both are forests, which strip to nothing, so each matching number is
+    (vertices - isolated) // 2. Emptying the cyclic vertices' lists keeps
+    the vertex count and adds them to the isolated count, so the two
+    numbers are equal exactly when both strippings isolate as many
+    vertices.
+    """
+    t = contract_cycles(g)
+    cyclic = t.cyclic_vertices
+    off = [() if v in cyclic else [w for w in b if w not in cyclic]
+           for v, b in enumerate(t.tree._adj)]
+    return _strip_pendants(t.tree._adj)[1] == _strip_pendants(off)[1]
 
 
 def even_cycle_matching_equivalence(g: Graph) -> tuple[bool, bool]:
@@ -292,10 +303,10 @@ def even_cycle_matching_equivalence(g: Graph) -> tuple[bool, bool]:
     cyc = unique_cycle(g)
     if len(cyc) % 2 != 0:
         raise StructureError("expected an even cycle")
-    t = contract_cycles(g)
-    left = contraction_matched(t)
+    left = contraction_matched(g)
     ms = matching_sets(g)
-    split = matching_number(g) == len(cyc) // 2 + matching_number(t.core)
+    offcycle, _ = delete_vertices(g, cyc.vertices)
+    split = matching_number(g) == len(cyc) // 2 + matching_number(offcycle)
     right = split and ms.num_meeting_boundary == 0
     return left, right
 
@@ -303,14 +314,15 @@ def even_cycle_matching_equivalence(g: Graph) -> tuple[bool, bool]:
 def odd_cycle_matching_equivalence(g: Graph) -> tuple[bool, bool]:
     """Same as the even-cycle version, for odd cycles.
 
-    Left: equal matching numbers of the contraction tree and its core.
+    Left: equal matching numbers of the contraction tree and the tree
+    minus its cyclic vertex.
     Right: the matching number of the graph splits as cycle part plus
     off-cycle part. Returns ``(left, right)``.
     """
     cyc = unique_cycle(g)
     if len(cyc) % 2 == 0:
         raise StructureError("expected an odd cycle")
-    t = contract_cycles(g)
-    left = contraction_matched(t)
-    right = matching_number(g) == len(cyc) // 2 + matching_number(t.core)
+    left = contraction_matched(g)
+    offcycle, _ = delete_vertices(g, cyc.vertices)
+    right = matching_number(g) == len(cyc) // 2 + matching_number(offcycle)
     return left, right

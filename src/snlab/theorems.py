@@ -23,9 +23,9 @@ from .balance import cotree_edges, cycle_sign, is_balanced
 from .errors import TheoremViolation
 from .formats import graph6_encode, sgl_dumps
 from .generation import check_vertex_cap, enumerate_connected
-from .graphs import (Cycle, Edge, Graph, PendantType, SignedGraph, contract_cycles,
-                     cycle_space_dim, cycles_pairwise_vertex_disjoint, delete_vertices,
-                     is_connected, vertices_on_cycles)
+from .graphs import (Cycle, Edge, Graph, PendantType, SignedGraph, cycle_space_dim,
+                     cycles_pairwise_vertex_disjoint, delete_vertices, is_connected,
+                     vertices_on_cycles)
 from .linalg import eliminate_outside, nullity, rank_division_free
 from .matching import contraction_matched, matching_number
 
@@ -108,8 +108,7 @@ def attains_upper(sg: SignedGraph) -> bool:
     if not is_connected(sg.graph):
         raise ValueError("the upper-bound predicate needs a connected graph")
     ok, cycles = cycles_pairwise_vertex_disjoint(sg.graph)
-    return (ok and _signs_attain(sg, cycles)
-            and contraction_matched(contract_cycles(sg.graph)))
+    return ok and _signs_attain(sg, cycles) and contraction_matched(sg.graph)
 
 
 def classify_unicyclic(sg: SignedGraph) -> int:
@@ -123,13 +122,12 @@ def classify_unicyclic(sg: SignedGraph) -> int:
     g = sg.graph
     if not is_connected(g) or cycle_space_dim(g) != 1:
         raise ValueError("expected a connected unicyclic graph")
-    bal = is_balanced(sg)
-    if bal.balanced:
+    _, (cyc,) = cycles_pairwise_vertex_disjoint(g)
+    # a unicyclic graph is balanced exactly when its one cycle is positive
+    if cycle_sign(sg, cyc) == 1:
         raise ValueError("expected an unbalanced signature")
-    t = contract_cycles(g)
-    (cyc,) = [o for o in t.origin if isinstance(o, Cycle)]
     q = len(cyc)
-    matched = contraction_matched(t)
+    matched = contraction_matched(g)
     if q % 2 == 1 and matched:
         return -1
     if q % 4 == 2 and matched:
@@ -404,7 +402,7 @@ def _classes(g: Graph) -> Iterator[tuple[int, int, bool]]:
                         else (False, None))
     if disjoint:
         wanted = [_attaining_sign(len(cyc)) for cyc in cycles]
-        if None not in wanted and contraction_matched(contract_cycles(g)):
+        if None not in wanted and contraction_matched(g):
             bit = {e: 1 << i for i, e in enumerate(cotree)}
             attaining = tuple(
                 (sum(bit.get(e, 0) for e in cyc.edge_list()), sign == -1)

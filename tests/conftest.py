@@ -1,4 +1,5 @@
-"""Shared fixtures: enumeration sweeps reused across test modules.
+"""Shared fixtures: enumeration sweeps reused across test modules, and the
+block decomposition that cycle structure is checked against.
 
 The expensive sweeps (connected catalogs with all signature
 representatives) are session-scoped so the acceptance tests and the
@@ -7,10 +8,13 @@ property suites share one computation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 import snlab.theorems
-from snlab import enumerate_connected, enumerate_signatures
+from snlab import Graph, enumerate_connected, enumerate_signatures
+from snlab.graphs import Edge, _norm_edge
 
 
 def connected_graphs_upto(n_max, **filters):
@@ -22,6 +26,78 @@ def signed_sweep(n_max, **filters):
     for g in connected_graphs_upto(n_max, **filters):
         for sg in enumerate_signatures(g):
             yield sg
+
+
+# ---------------------------------------------------------------------------
+# blocks (maximal 2-connected subgraphs and bridges): Tarjan's decomposition,
+# the reference the cycle structure read off the spanning forest is checked
+# against
+
+@dataclass(frozen=True)
+class Block:
+    vertices: frozenset[int]
+    edges: frozenset[Edge]
+
+    def contains_cycle(self) -> bool:
+        return len(self.edges) >= len(self.vertices)
+
+
+def blocks(g: Graph) -> list[Block]:
+    """Block decomposition; every edge belongs to exactly one block.
+
+    Isolated vertices belong to no block. Deterministic order (by sorted
+    edge lists).
+    """
+    n = g.n
+    disc = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    timer = 0
+    estack: list[Edge] = []
+    found: list[list[Edge]] = []
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, iter(g.neighbors(root)))]
+        while stack:
+            v, it = stack[-1]
+            w = next(it, None)
+            if w is None:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= disc[u]:
+                        comp = []
+                        while True:
+                            e = estack.pop()
+                            comp.append(e)
+                            if e == (u, v):
+                                break
+                        found.append(comp)
+                continue
+            if w == parent[v]:
+                continue
+            if disc[w] == -1:
+                parent[w] = v
+                estack.append((v, w))
+                disc[w] = low[w] = timer
+                timer += 1
+                stack.append((w, iter(g.neighbors(w))))
+            elif disc[w] < disc[v]:
+                estack.append((v, w))
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+    out = []
+    for comp in found:
+        es = frozenset(_norm_edge(u, v) for u, v in comp)
+        vs = frozenset(v for e in es for v in e)
+        out.append(Block(vs, es))
+    out.sort(key=lambda b: sorted(b.edges))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -1,21 +1,23 @@
-"""Structural graph operations: construction, deletion, blocks, cycles,
-contraction, pendant classification, girth."""
+"""Structural graph operations: construction, deletion, cycles read off the
+spanning forest (checked against the block decomposition of the tests'
+conftest), contraction, pendant classification, girth."""
 
 import itertools
 import random
 
 import pytest
 
-from snlab import (Cycle, Graph, PendantType, SignedGraph, blocks, complete_graph,
+from snlab import (Cycle, Graph, PendantType, SignedGraph, complete_graph,
                    connected_components, contract_cycles, cycle_graph,
                    cycle_space_dim, cycles_pairwise_vertex_disjoint, delete_vertices,
                    disjoint_union, girth, graph6_encode, induced_subgraph, is_connected,
-                   num_components, path_graph, pendant_type, pendant_vertices,
-                   star_graph, vertices_on_cycles)
+                   matching_number, num_components, path_graph, pendant_type,
+                   pendant_vertices, star_graph, vertices_on_cycles)
 from snlab.errors import StructureError
 from snlab.graphs import is_cycle_of
+from snlab.matching import contraction_matched
 
-from conftest import connected_graphs_upto
+from conftest import blocks, connected_graphs_upto
 
 
 def theta_graph():
@@ -248,25 +250,28 @@ class TestDisjointCycles:
         assert ok and cycles == [Cycle((2, 3, 4, 5, 6)), Cycle((7, 8, 9))]
 
     def test_matches_block_reference_on_all_labelled_graphs_upto_5(self):
-        for n in range(6):
-            for bits in range(1 << (n * (n - 1) // 2)):
-                _assert_matches_blocks(Graph.from_bits(n, bits))
+        answers = {_assert_matches_blocks(Graph.from_bits(n, bits))
+                   for n in range(6) for bits in range(1 << (n * (n - 1) // 2))}
+        assert answers == {None, False, True}
 
     def test_matches_block_reference_on_connected_graphs_upto_7(self, graphs_upto_7):
-        for g in graphs_upto_7:
-            _assert_matches_blocks(g)
+        answers = {_assert_matches_blocks(g) for g in graphs_upto_7}
+        assert answers == {None, False, True}
 
     def test_matches_block_reference_on_random_graphs(self):
         rng = random.Random(20261018)
         outcomes = {True: 0, False: 0}
+        answers = set()
         for _ in range(2000):
             n = rng.randrange(8, 31)
             m = rng.randrange(n // 2, n + 5)
             edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(m)}
             g = Graph(n, frozenset(edges))
-            ok = _assert_matches_blocks(g)
-            outcomes[ok and cycle_space_dim(g) > 0] += 1
+            answer = _assert_matches_blocks(g)
+            answers.add(answer)
+            outcomes[answer is not None and cycle_space_dim(g) > 0] += 1
         assert min(outcomes.values()) > 200  # both answers, with cycles
+        assert answers == {None, False, True}
 
 
 def _disjoint_cycles_by_blocks(g):
@@ -283,12 +288,24 @@ def _disjoint_cycles_by_blocks(g):
 
 
 def _assert_matches_blocks(g):
+    """Check the forest's cycle answers for ``g`` against the block
+    reference, and ``contraction_matched`` against the matching numbers of
+    the contraction tree and of that tree minus its cyclic vertices.
+    Returns ``contraction_matched(g)``, or None when cycles share a
+    vertex."""
+    on_cycles = {v for b in blocks(g) if b.contains_cycle() for v in b.vertices}
+    assert vertices_on_cycles(g) == on_cycles, g
     ok, cycles = cycles_pairwise_vertex_disjoint(g)
     expected = _disjoint_cycles_by_blocks(g)
     assert ok == (expected is not None), g
-    if ok:
-        assert [frozenset(c.edge_list()) for c in cycles] == expected, g
-    return ok
+    if not ok:
+        return None
+    assert [frozenset(c.edge_list()) for c in cycles] == expected, g
+    t = contract_cycles(g)
+    offcycle, _ = delete_vertices(t.tree, t.cyclic_vertices)
+    matched = contraction_matched(g)
+    assert matched == (matching_number(t.tree) == matching_number(offcycle)), g
+    return matched
 
 
 class TestPendantCore:
@@ -344,18 +361,15 @@ class TestContraction:
         t = contract_cycles(g)
         assert t.tree.n == 3 and len(t.tree.edges) == 2
         assert len(t.cyclic_vertices) == 1
-        assert t.core.n == 2 and len(t.core.edges) == 1
 
     def test_bare_cycle(self):
         t = contract_cycles(cycle_graph(5))
         assert t.tree.n == 1 and t.cyclic_vertices == frozenset([0])
-        assert t.core.n == 0
 
     def test_tree_identity(self):
         g = star_graph(3)
         t = contract_cycles(g)
         assert t.tree == g and not t.cyclic_vertices
-        assert t.core == g
 
     def test_theta_rejected(self):
         with pytest.raises(StructureError):

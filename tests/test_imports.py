@@ -1,7 +1,10 @@
-"""Every imported name is used, in the package and in the tests.
+"""Every imported name is used, in the package and in the tests, and the
+package states no check as an ``assert``.
 
-A static check with the standard library's ``ast``; ``snlab/__init__.py``
-is left out, because it imports names only to re-export them.
+Static checks with the standard library's ``ast``. ``snlab/__init__.py``
+is left out of the first, because it imports names only to re-export them.
+``python -O`` strips ``assert`` statements, and the package's checks must
+still run under it.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "snlab").glob("*.py")
-                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "snlab").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
+    (ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +42,20 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    """The lines of the module's ``assert`` statements."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_the_check_finds_asserts():
+    source = ("def f(x):\n    assert x, 'x'\n    if x:\n"
+              "        assert x > 0\n    return 'assert'\n")
+    assert assert_lines(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_asserts_in_the_package(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
