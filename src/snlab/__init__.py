@@ -7,8 +7,8 @@ unicyclic trichotomy, the slack-realizing block family) by exhaustive
 enumeration at small orders.
 """
 
-from .balance import (BalanceResult, canonical_signature, cotree_edges, cycle_sign,
-                      is_balanced, spanning_forest, switch)
+from .balance import (BalanceResult, canonical_signature, cycle_sign, is_balanced,
+                      spanning_forest, switch)
 from .errors import CapacityError, ParseError, StructureError, TheoremViolation
 from .formats import (graph6_decode, graph6_encode, read_graph6, read_sgl,
                       sgl_dumps, sgl_loads, write_graph6, write_sgl)
@@ -18,14 +18,14 @@ from .generation import (CAPACITY_OVERRIDE_ENV, ENUMERATION_VERTEX_CAP,
                          enumerate_signatures)
 from .graphs import (ContractionTree, Cycle, Graph, PendantType, SignedGraph,
                      complete_graph, connected_components, contract_cycles,
-                     cycle_graph, cycle_space_dim, cycles_pairwise_vertex_disjoint,
-                     delete_vertices, disjoint_union, girth, induced_subgraph,
-                     is_connected, num_components, path_graph, pendant_type,
-                     pendant_vertices, star_graph, vertices_on_cycles)
+                     cotree_edges, cycle_graph, cycle_space_dim,
+                     cycles_pairwise_vertex_disjoint, delete_vertices, disjoint_union,
+                     girth, induced_subgraph, is_connected, num_components, path_graph,
+                     pendant_type, pendant_vertices, star_graph, vertices_on_cycles)
 from .linalg import (CHAR_POLY_VERTEX_CAP, SACHS_VERTEX_CAP, BasicSubgraph,
                      char_poly_exact, enumerate_basic_subgraphs, nullity,
-                     rank_exact, sachs_coefficient, sachs_coefficients,
-                     signed_adjacency, zero_root_multiplicity)
+                     rank_exact, sachs_coefficients, signed_adjacency,
+                     zero_root_multiplicity)
 from .matching import (BRUTE_FORCE_EDGE_CAP, Matching, MatchingSets,
                        brute_force_max_matching, count_maximum_matchings,
                        enumerate_maximum_matchings,

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import (Cycle, Edge, Graph, SignedGraph, fundamental_cycle,
-                     is_cycle_of)
+from .graphs import (Cycle, Edge, Graph, SignedGraph, cotree_edges,
+                     fundamental_cycle, is_cycle_of)
 
 
 def cycle_sign(sg: SignedGraph, c: Cycle) -> int:
@@ -50,15 +50,6 @@ def spanning_forest(g: Graph) -> tuple[list[int], list[int], set[Edge]]:
     tree = {(p, v) if p < v else (v, p)
             for v, p in enumerate(parent) if p != -1}
     return list(parent), list(order), tree
-
-
-def cotree_edges(g: Graph) -> list[Edge]:
-    """Non-forest edges of the canonical spanning forest, sorted.
-
-    Their count is the cycle-space dimension.
-    """
-    _, _, tree = spanning_forest(g)
-    return sorted(g.edges - tree)
 
 
 @dataclass(frozen=True)

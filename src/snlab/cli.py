@@ -30,8 +30,7 @@ from typing import Optional, Sequence
 from .errors import CapacityError, ParseError, TheoremViolation
 from .formats import read_graph6, read_sgl, write_sgl
 from .generation import check_vertex_cap
-from .linalg import (SACHS_VERTEX_CAP, char_poly_exact, nullity,
-                     sachs_coefficients, signed_adjacency)
+from .linalg import char_poly_exact, nullity, sachs_coefficients, signed_adjacency
 from .matching import matching_number
 from .theorems import (FamilyParams, classify_unicyclic, gap_scan, generate_family,
                        invariant_record, unicyclic_case)
@@ -166,10 +165,6 @@ def cmd_sachs(args) -> int:
     mismatched = False
     with _open_out(args.out) as out:
         for i, sg in enumerate(records):
-            if sg.n > SACHS_VERTEX_CAP:
-                raise CapacityError(
-                    f"coefficient check is capped at {SACHS_VERTEX_CAP} "
-                    f"vertices, got {sg.n}")
             coeffs = sachs_coefficients(sg)
             oracle = char_poly_exact(signed_adjacency(sg))
             agree = coeffs == oracle

@@ -25,9 +25,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Optional
 
-from .balance import cotree_edges
 from .errors import CapacityError
-from .graphs import Graph, SignedGraph, cycle_space_dim, girth
+from .graphs import Graph, SignedGraph, cotree_edges, cycle_space_dim, girth
 
 ENUMERATION_VERTEX_CAP = 8
 CAPACITY_OVERRIDE_ENV = "SNLAB_CAPACITY_OVERRIDE"

@@ -293,11 +293,18 @@ def fundamental_cycle(g: Graph, u: int, v: int) -> Cycle:
     return Cycle(tuple(anc_u[:pos[path_v[-1]]] + path_v[::-1]))
 
 
-def _fundamental_cycles(g: Graph) -> Iterator[Cycle]:
-    """The fundamental cycle of each non-forest edge, in edge-set order."""
+def cotree_edges(g: Graph) -> list[Edge]:
+    """Non-forest edges of the canonical spanning forest, sorted.
+
+    Their count is the cycle-space dimension.
+    """
     parent = g._forest[0]
-    return (fundamental_cycle(g, u, v) for u, v in g.edges
-            if parent[u] != v and parent[v] != u)
+    return sorted((u, v) for u, v in g.edges if parent[u] != v and parent[v] != u)
+
+
+def _fundamental_cycles(g: Graph) -> Iterator[Cycle]:
+    """The fundamental cycle of each non-forest edge, in sorted edge order."""
+    return (fundamental_cycle(g, u, v) for u, v in cotree_edges(g))
 
 
 @dataclass(frozen=True)

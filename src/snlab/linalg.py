@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapacityError
-from .graphs import Cycle, Edge, SignedGraph
+from .graphs import Edge, SignedGraph
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -217,85 +217,77 @@ class BasicSubgraph:
     num_cycles: int
     negative_cycle_edges: int
 
+    @property
+    def order(self) -> int:
+        """The vertex count: a cycle has as many vertices as edges, a
+        single edge one more."""
+        return len(self.edges) + self.components - self.num_cycles
 
-def enumerate_basic_subgraphs(sg: SignedGraph, i: int) -> list[BasicSubgraph]:
-    """All basic subgraphs on exactly ``i`` vertices, deterministic order.
+
+def enumerate_basic_subgraphs(sg: SignedGraph) -> list[BasicSubgraph]:
+    """All basic subgraphs, of every order, sorted by ``(order, sorted
+    edges)``; capped at :data:`SACHS_VERTEX_CAP` vertices.
 
     A basic subgraph is a subgraph whose components are single edges or
-    cycles. Recursion on the smallest unused vertex: either it is skipped,
-    or covered by an edge, or it is the minimum vertex of a cycle.
+    cycles. Its pieces are listed once: every edge, and every simple cycle,
+    found by one path search from its least vertex and kept in the
+    direction whose second vertex is below its last. The recursion adds
+    pieces in strictly increasing order of least vertex, skipping any that
+    meets a used vertex, so each basic subgraph is built exactly once.
     """
     g = sg.graph
     n = g.n
-    if i < 0 or i > n:
-        raise ValueError(f"vertex count {i} out of range for n={n}")
+    if n > SACHS_VERTEX_CAP:
+        raise CapacityError(
+            f"basic subgraphs are capped at {SACHS_VERTEX_CAP} vertices, got {n}")
     adj = g._adj
+    # pieces[u]: (vertex mask, edges, is cycle, negative edges), least vertex u
+    pieces: list[list[tuple[int, frozenset[Edge], int, int]]] = [
+        [(1 << u | 1 << w, frozenset([(u, w)]), 0, 0) for w in adj[u] if w > u]
+        for u in range(n)]
+
+    def cycles_from(u: int, path: tuple[int, ...], mask: int):
+        """Add to ``pieces[u]`` each cycle with least vertex ``u`` that
+        continues ``path``."""
+        v = path[-1]
+        for w in adj[v]:
+            if w == u and len(path) >= 3 and path[1] < v:
+                ends = path + (u,)
+                ce = frozenset((a, b) if a < b else (b, a)
+                               for a, b in zip(ends, ends[1:]))
+                pieces[u].append((mask, ce, 1, len(ce & sg.negatives)))
+            elif w > u and not mask >> w & 1:
+                cycles_from(u, path + (w,), mask | 1 << w)
+
+    for u in range(n):
+        cycles_from(u, (u,), 1 << u)
     out: list[BasicSubgraph] = []
 
-    def cycles_from(u: int, banned: frozenset[int]):
-        """Simple cycles whose minimum vertex is ``u``, avoiding ``banned``."""
-        # path search; only vertices > u may appear after u, and each cycle
-        # is emitted in one direction only (second vertex < last vertex)
-        def extend(path: tuple[int, ...], visited: frozenset[int]):
-            v = path[-1]
-            for w in adj[v]:
-                if w == u and len(path) >= 3 and path[1] < path[-1]:
-                    yield path
-                elif w > u and w not in visited and w not in banned:
-                    yield from extend(path + (w,), visited | {w})
-
-        yield from extend((u,), frozenset([u]))
-
-    def rec(min_free: int, used: frozenset[int], covered: int,
-            acc_edges: frozenset[Edge], comps: int, cycs: int, negs: int):
-        if covered == i:
-            out.append(BasicSubgraph(acc_edges, comps, cycs, negs))
-            return
-        u = min_free
-        while u < n and u in used:
-            u += 1
-        if u == n or n - u < i - covered:
-            return
-        # skip u entirely
-        rec(u + 1, used | {u}, covered, acc_edges, comps, cycs, negs)
-        if covered + 2 <= i:
-            # cover u by a single edge
-            for w in adj[u]:
-                if w > u and w not in used:
-                    rec(u + 1, used | {u, w}, covered + 2,
-                        acc_edges | {(u, w)}, comps + 1, cycs, negs)
-        # cover u by a cycle through it as minimum vertex
-        for path in cycles_from(u, used):
-            if covered + len(path) > i:
+    def rec(start: int, used: int, edges: frozenset[Edge],
+            comps: int, cycs: int, negs: int):
+        out.append(BasicSubgraph(edges, comps, cycs, negs))
+        for u in range(start, n):
+            if used >> u & 1:
                 continue
-            ce = Cycle(path).edge_list()
-            neg = sum(1 for a, b in ce if sg.sign(a, b) == -1)
-            rec(u + 1, used | set(path), covered + len(path),
-                acc_edges | set(ce), comps + 1, cycs + 1, negs + neg)
+            for mask, piece, cyc, neg in pieces[u]:
+                if not mask & used:
+                    rec(u + 1, used | mask, edges | piece,
+                        comps + 1, cycs + cyc, negs + neg)
 
-    rec(0, frozenset(), 0, frozenset(), 0, 0, 0)
-    out.sort(key=lambda b: sorted(b.edges))
+    rec(0, 0, frozenset(), 0, 0, 0)
+    out.sort(key=lambda b: (b.order, sorted(b.edges)))
     return out
 
 
-def sachs_coefficient(sg: SignedGraph, i: int) -> int:
-    """Coefficient of x^(n-i) in the characteristic polynomial, computed
-    combinatorially.
-
-    Each basic subgraph on ``i`` vertices contributes
-    (-1)**(components + negative cycle edges) * 2**(cycles).
-    """
-    if i == 0:
-        return 1
-    total = 0
-    for b in enumerate_basic_subgraphs(sg, i):
-        term = 2 ** b.num_cycles
-        if (b.components + b.negative_cycle_edges) % 2:
-            term = -term
-        total += term
-    return total
-
-
 def sachs_coefficients(sg: SignedGraph) -> tuple[int, ...]:
-    """All coefficients a_0 .. a_n, leading-first (a_0 = 1)."""
-    return tuple(sachs_coefficient(sg, i) for i in range(sg.n + 1))
+    """All coefficients a_0 .. a_n of the characteristic polynomial,
+    leading-first, computed combinatorially.
+
+    Each basic subgraph on ``i`` vertices adds (-1)**(components + negative
+    cycle edges) * 2**(cycles) to a_i; the empty one gives a_0 = 1.
+    """
+    coeffs = [0] * (sg.n + 1)
+    for b in enumerate_basic_subgraphs(sg):
+        sign = -1 if (b.components + b.negative_cycle_edges) % 2 else 1
+        coeffs[b.order] += sign * 2 ** b.num_cycles
+    return tuple(coeffs)

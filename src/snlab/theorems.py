@@ -19,13 +19,13 @@ import multiprocessing
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .balance import cotree_edges, cycle_sign, is_balanced
+from .balance import cycle_sign, is_balanced
 from .errors import TheoremViolation
 from .formats import graph6_encode, sgl_dumps
 from .generation import check_vertex_cap, enumerate_connected
-from .graphs import (Cycle, Edge, Graph, PendantType, SignedGraph, cycle_space_dim,
-                     cycles_pairwise_vertex_disjoint, delete_vertices, is_connected,
-                     vertices_on_cycles)
+from .graphs import (Cycle, Edge, Graph, PendantType, SignedGraph, cotree_edges,
+                     cycle_space_dim, cycles_pairwise_vertex_disjoint, delete_vertices,
+                     is_connected, vertices_on_cycles)
 from .linalg import eliminate_outside, nullity, rank_division_free
 from .matching import contraction_matched, matching_number
 

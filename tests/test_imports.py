@@ -1,18 +1,26 @@
-"""Every imported name is used, in the package and in the tests, and the
-package states no check as an ``assert``.
+"""Every imported name is used, in the package and in the tests, the
+package states no check as an ``assert``, and every name the README's entry
+points list exists.
 
 Static checks with the standard library's ``ast``. ``snlab/__init__.py``
 is left out of the first, because it imports names only to re-export them.
 ``python -O`` strips ``assert`` statements, and the package's checks must
-still run under it.
+still run under it. A backticked name in a "Useful entry points" bullet
+must be an attribute of that bullet's module, of a class defined there, or
+of ``snlab``.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import re
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
+
+import snlab
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "snlab").glob("*.py"))
@@ -59,3 +67,42 @@ def test_the_check_finds_asserts():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_asserts_in_the_package(path):
     assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def missing_readme_names(readme: str) -> list[str]:
+    """The backticked names of the "Useful entry points" bullets that are
+    attributes neither of the bullet's module (its first backticked name),
+    nor of a class defined there, nor of ``snlab``."""
+    section = readme.split("Useful entry points", 1)[1].split("\n## ", 1)[0]
+    missing = []
+    for bullet in section.split("\n- ")[1:]:
+        module_name, *names = [name for name in re.findall(r"`([^`]*)`", bullet)
+                               if re.fullmatch(r"[A-Za-z_][\w.]*", name)]
+        module = importlib.import_module(module_name)
+        roots = [module, snlab] + [
+            c for c in vars(module).values()
+            if isinstance(c, type) and c.__module__ == module.__name__]
+        for name in names:
+            if not any(resolves(root, name) for root in roots):
+                missing.append(name)
+    return missing
+
+
+def resolves(root: object, dotted: str) -> bool:
+    try:
+        attrgetter(dotted)(root)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_the_check_finds_unknown_readme_names():
+    readme = ("Useful entry points, by module:\n\n"
+              "- `snlab.linalg` — `rank` and `nullity` (`BasicSubgraph.order`,\n"
+              "  `x + 1`, `is_balanced`).\n- `snlab.graphs` — `Graph.rank`.\n"
+              "\n## Command line\n\n`rank`\n")
+    assert missing_readme_names(readme) == ["rank", "Graph.rank"]
+
+
+def test_readme_names_exist():
+    assert missing_readme_names((ROOT / "README.md").read_text(encoding="utf-8")) == []

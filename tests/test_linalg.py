@@ -30,7 +30,6 @@ from snlab import (
     nullity,
     path_graph,
     rank_exact,
-    sachs_coefficient,
     sachs_coefficients,
     signed_adjacency,
     zero_root_multiplicity,
@@ -418,36 +417,36 @@ def brute_force_basic_subgraphs(sg: SignedGraph, i: int):
 class TestBasicSubgraphs:
     def test_against_edge_subset_filter(self, signed_upto_5):
         for sg in signed_upto_5:
+            by_order = [set() for _ in range(sg.n + 1)]
+            for b in enumerate_basic_subgraphs(sg):
+                assert b.order == len({v for e in b.edges for v in e})
+                by_order[b.order].add((b.edges, b.components, b.num_cycles,
+                                       b.negative_cycle_edges))
             for i in range(sg.n + 1):
-                fast = {(b.edges, b.components, b.num_cycles,
-                         b.negative_cycle_edges)
-                        for b in enumerate_basic_subgraphs(sg, i)}
-                assert fast == brute_force_basic_subgraphs(sg, i)
+                assert by_order[i] == brute_force_basic_subgraphs(sg, i)
 
     def test_no_duplicates_and_sorted(self, signed_upto_5):
         for sg in signed_upto_5:
-            for i in range(sg.n + 1):
-                bs = enumerate_basic_subgraphs(sg, i)
-                keys = [sorted(b.edges) for b in bs]
-                assert keys == sorted(keys)
-                assert len({b.edges for b in bs}) == len(bs)
+            bs = enumerate_basic_subgraphs(sg)
+            keys = [(b.order, sorted(b.edges)) for b in bs]
+            assert keys == sorted(keys)
+            assert len({b.edges for b in bs}) == len(bs)
 
     def test_known_counts(self):
-        c3 = SignedGraph.all_positive(cycle_graph(3))
-        assert len(enumerate_basic_subgraphs(c3, 2)) == 3
-        assert len(enumerate_basic_subgraphs(c3, 3)) == 1
-        assert enumerate_basic_subgraphs(c3, 3)[0] == BasicSubgraph(
-            frozenset({(0, 1), (0, 2), (1, 2)}), 1, 1, 0)
-        p3 = SignedGraph.all_positive(path_graph(3))
-        assert enumerate_basic_subgraphs(p3, 3) == []
-        assert len(enumerate_basic_subgraphs(p3, 0)) == 1
+        def of_order(sg, i):
+            return [b for b in enumerate_basic_subgraphs(sg) if b.order == i]
 
-    def test_out_of_range(self):
-        sg = SignedGraph.all_positive(path_graph(2))
-        with pytest.raises(ValueError):
-            enumerate_basic_subgraphs(sg, -1)
-        with pytest.raises(ValueError):
-            enumerate_basic_subgraphs(sg, 3)
+        c3 = SignedGraph.all_positive(cycle_graph(3))
+        assert len(of_order(c3, 2)) == 3
+        assert of_order(c3, 3) == [BasicSubgraph(
+            frozenset({(0, 1), (0, 2), (1, 2)}), 1, 1, 0)]
+        p3 = SignedGraph.all_positive(path_graph(3))
+        assert of_order(p3, 3) == []
+        assert len(of_order(p3, 0)) == 1
+
+    def test_capacity(self):
+        with pytest.raises(CapacityError):
+            enumerate_basic_subgraphs(SignedGraph.all_positive(path_graph(13)))
 
 
 class TestSachs:
@@ -461,9 +460,9 @@ class TestSachs:
         perfect matchings contribute +2, the cycle term is -2 when balanced
         and +2 when one edge is negative."""
         c4 = cycle_graph(4)
-        assert sachs_coefficient(SignedGraph.all_positive(c4), 4) == 0
-        assert sachs_coefficient(
-            SignedGraph.with_negatives(c4, [(0, 1)]), 4) == 4
+        assert sachs_coefficients(SignedGraph.all_positive(c4))[4] == 0
+        assert sachs_coefficients(
+            SignedGraph.with_negatives(c4, [(0, 1)]))[4] == 4
 
     def test_matches_char_poly_exhaustive(self, signed_upto_5):
         for sg in signed_upto_5:
@@ -471,7 +470,7 @@ class TestSachs:
 
     def test_vertex_coefficient_vanishes(self, signed_upto_5):
         for sg in signed_upto_5:
-            assert sachs_coefficient(sg, 1) == 0
+            assert sachs_coefficients(sg)[1] == 0
 
 
 # ---------------------------------------------------------------------------
