@@ -10,12 +10,18 @@ violation (a counterexample artifact is written), 3 capacity exceeded,
 4 parse error.
 
 Campaign reports contain no timing data, so identical configurations
-produce byte-identical files; wall time goes to stderr. Report schema:
+produce byte-identical files; wall time goes to stderr. ``verify`` writes
+its report to ``<out>.part`` and renames it onto ``--out`` once the
+campaign has finished, so a failed campaign leaves an earlier report as
+it was. Report schema:
 without ``--emit-all`` a single JSON object with keys ``config``,
 ``totals``, ``histogram`` (slack counts keyed by "n,c"), ``violations``
 and ``upper_check``; with ``--emit-all`` JSON-lines, one object per
 (graph, signature) with keys ``graph6``, ``negatives``, ``n``, ``m``,
-``c``, ``eta``, ``balanced``, ``lower``, ``upper``, ``s``.
+``c``, ``eta``, ``balanced``, ``lower``, ``upper``, ``s``. The lines are
+formatted in the workers and written chunk by chunk in chunk order as the
+chunks arrive, so memory is bounded by the largest chunk's text, not by
+the number of classes.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -108,21 +115,25 @@ def cmd_verify(args) -> int:
         path = args.source[len("graph6:"):]
         source = list(read_graph6(path))
         label = f"graph6:{path}"
-    # a bad --out fails before the campaign; appending nothing leaves an
-    # existing report as it is until the new one is written
+    # a bad --out fails before the campaign; the report goes to a sibling
+    # file that replaces --out only once the campaign has finished
     open(args.out, "a", encoding="ascii").close()
-    started = time.monotonic()
-    report = gap_scan(n_max=args.n_max, c_max=args.c_max, source=source,
-                      source_label=label, workers=args.workers,
-                      emit_all=args.emit_all)
-    elapsed = time.monotonic() - started
-
-    if args.emit_all:
-        body = "".join(_dump_line(r) + "\n" for r in report.records)
-    else:
-        body = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(body)
+    part = args.out + ".part"
+    try:
+        with open(part, "w", encoding="ascii") as fh:
+            started = time.monotonic()
+            report = gap_scan(n_max=args.n_max, c_max=args.c_max, source=source,
+                              source_label=label, workers=args.workers,
+                              emit=fh.write if args.emit_all else None)
+            elapsed = time.monotonic() - started
+            if not args.emit_all:
+                fh.write(json.dumps(report.to_json_dict(), sort_keys=True,
+                                    indent=2) + "\n")
+        os.replace(part, args.out)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
 
     bad = report.violations + report.upper_check["disagreements"]
     if bad:

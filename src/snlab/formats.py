@@ -129,16 +129,17 @@ def sgl_loads(text: str) -> list[SignedGraph]:
     """Parse records; raises :class:`ParseError` with a line number."""
     records: list[SignedGraph] = []
     n: int | None = None
-    signs: dict[Edge, int] = {}
+    edges: set[Edge] = set()
+    negatives: list[Edge] = []
 
     def flush():
         # every bad edge was rejected at its own line, so this cannot fail
-        nonlocal n, signs
+        nonlocal n, edges, negatives
         if n is None:
             return
-        records.append(SignedGraph.with_signs(Graph(n, frozenset(signs)), signs))
+        records.append(SignedGraph(Graph(n, frozenset(edges)), frozenset(negatives)))
         n = None
-        signs = {}
+        edges, negatives = set(), []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.isascii():  # keeps isdigit below to ASCII digits too
@@ -166,9 +167,11 @@ def sgl_loads(text: str) -> list[SignedGraph]:
             raise ParseError(f"edge ({u},{v}) out of range for n={n}", lineno)
         if ss not in ("+", "-"):
             raise ParseError(f"sign must be '+' or '-', got {ss!r}", lineno)
-        if (u, v) in signs:
+        if (u, v) in edges:
             raise ParseError(f"duplicate edge {u} {v}", lineno)
-        signs[(u, v)] = 1 if ss == "+" else -1
+        edges.add((u, v))
+        if ss == "-":
+            negatives.append((u, v))
     flush()
     return records
 

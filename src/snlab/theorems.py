@@ -15,9 +15,10 @@ the block family realizing every admissible slack value.
 from __future__ import annotations
 
 import contextlib
+import json
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .balance import cycle_sign, is_balanced
 from .errors import TheoremViolation
@@ -316,8 +317,7 @@ class CampaignReport:
     empty: their existence would falsify the verified statements, so they
     are first-class data rather than exceptions). ``upper_check`` compares
     the structural upper-bound predicate against eta = upper on every
-    connected graph. ``records`` is a list, filled with every class's row,
-    only when the caller asks for per-signature output, and None otherwise.
+    connected graph.
     """
 
     config: dict = field(default_factory=dict)
@@ -328,7 +328,6 @@ class CampaignReport:
     upper_check: dict = field(default_factory=lambda: {
         "tested": 0, "predicate_true": 0, "agreements": 0,
         "disagreements": [], "skipped_disconnected": 0})
-    records: Optional[list[dict]] = None
 
     def merge(self, part: CampaignReport) -> None:
         """Add the counts of ``part`` and append its lists after ours."""
@@ -341,8 +340,6 @@ class CampaignReport:
         self.violations += part.violations
         for key, value in part.upper_check.items():
             self.upper_check[key] += value  # a count, or the disagreements
-        if self.records is not None:
-            self.records += part.records
 
     def to_json_dict(self) -> dict:
         hist = {f"{n},{c}": {str(s): cnt for s, cnt in sorted(by_s.items())}
@@ -426,14 +423,17 @@ def _classes(g: Graph) -> Iterator[tuple[int, int, bool]]:
         yield t, base - pivots - rank_division_free(residual), attains
 
 
-def _scan_graph(g: Graph, report: CampaignReport) -> None:
+def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
     """Add all signature representatives of one underlying graph to
-    ``report``.
+    ``report``; return their JSON lines with ``emit``, else ``""``.
 
     The bounds are computed once per graph; each signature adds its
-    nullity and, on a connected graph, the upper-bound predicate. A record
-    is built only when it is emitted, breaks a law or disagrees with the
-    predicate.
+    nullity and, on a connected graph, the upper-bound predicate. A row
+    dict is built only for a class that breaks a law or disagrees with the
+    predicate. An emitted line is the row serialized as ``cli._dump_line``
+    does (sorted keys, no spaces): the values fixed for the graph are
+    formatted once, and each class fills in its ``eta``, ``s`` and
+    negative cotree edges.
     """
     n, m, c = g.n, matching_number(g), cycle_space_dim(g)
     lower, upper = _bounds(n, m, c)
@@ -441,7 +441,23 @@ def _scan_graph(g: Graph, report: CampaignReport) -> None:
     cotree = cotree_edges(g)
     connected = is_connected(g)
     by_s = report.histogram.setdefault((n, c), {})
-    up, records = report.upper_check, report.records
+    up = report.upper_check
+    lines: list[str] = []
+    if emit:
+        # indexed by balance; forest edges are positive, so only pattern 0
+        # is balanced
+        heads = [f'{{"balanced":{b},"c":{c},"eta":' for b in ("false", "true")]
+        middle = (f',"graph6":{json.dumps(g6)},"lower":{lower},"m":{m},'
+                  f'"n":{n},"negatives":[')
+        end = f',"upper":{upper}}}\n'
+        # the negative edges of pattern t, each followed by a comma, are
+        # low[t & mask] + high[t >> half]
+        half = len(cotree) // 2
+        mask = (1 << half) - 1
+        low, high = [""], [""]
+        for i, (u, v) in enumerate(cotree):
+            tab = low if i < half else high
+            tab += [x + f"[{u},{v}]," for x in tab]
     for t, eta, predicate in _classes(g):
         s = upper - eta
         by_s[s] = by_s.get(s, 0) + 1
@@ -450,8 +466,10 @@ def _scan_graph(g: Graph, report: CampaignReport) -> None:
         if connected:
             up["predicate_true"] += predicate
             up["agreements"] += agrees
-        if broken or not agrees or records is not None:
-            # forest edges are positive: only pattern 0 is balanced
+        if emit:
+            negatives = (low[t & mask] + high[t >> half])[:-1]
+            lines.append(f'{heads[t == 0]}{eta}{middle}{negatives}],"s":{s}{end}')
+        if broken or not agrees:
             rec = InvariantRecord(n=n, m=m, c=c, eta=eta, balanced=t == 0,
                                   lower=lower, upper=upper, s=s)
             row = {"graph6": g6,
@@ -461,27 +479,26 @@ def _scan_graph(g: Graph, report: CampaignReport) -> None:
             report.violations.extend({"kind": kind, **row} for kind in broken)
             if not agrees:
                 up["disagreements"].append({"predicate": predicate, **row})
-            if records is not None:
-                records.append(row)
     report.totals["graphs"] += 1
     report.totals["signatures"] += 1 << c
     up["tested" if connected else "skipped_disconnected"] += 1 << c
+    return "".join(lines)
 
 
-def _scan_chunk(task: tuple[tuple[Graph, ...], bool]) -> CampaignReport:
-    """One chunk of the campaign, in a pool worker or in-process; the
-    benchmark's tracer hooks this name to collect worker timings."""
-    graphs, emit_all = task
-    part = CampaignReport(records=[] if emit_all else None)
-    for g in graphs:
-        _scan_graph(g, part)
-    return part
+def _scan_chunk(task: tuple[tuple[Graph, ...], bool]) -> tuple[CampaignReport, str]:
+    """One chunk of the campaign, in a pool worker or in-process: its
+    counts, and its emitted lines as one string. The benchmark's tracer
+    hooks this name to collect worker timings."""
+    graphs, emit = task
+    part = CampaignReport()
+    text = "".join([_scan_graph(g, part, emit) for g in graphs])
+    return part, text
 
 
 def gap_scan(n_max: int, c_max: Optional[int] = None,
              source: Optional[Iterable[Graph]] = None,
              source_label: str = "internal", workers: int = 1,
-             emit_all: bool = False) -> CampaignReport:
+             emit: Optional[Callable[[str], object]] = None) -> CampaignReport:
     """Sweep every (graph, signature) pair and test all statements at once.
 
     With no ``source``, all connected graphs with 1..n_max vertices are
@@ -489,6 +506,9 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
     supplies underlying graphs instead, filtered by n_max/c_max. The graph
     list is cut into chunks, four per worker; results merge in chunk order
     as they arrive, so the report is identical for every worker count.
+    With an ``emit`` sink, each chunk's text, one JSON line per class (see
+    :func:`_scan_graph`), is passed to it in chunk order as the chunk
+    arrives, so no more than a chunk's lines is held at a time.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -496,8 +516,9 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
         raise ValueError(f"workers must be at least 1, got {workers}")
     if c_max is not None and c_max < 0:
         raise ValueError(f"c_max must be nonnegative, got {c_max}")
-    report = CampaignReport(records=[] if emit_all else None, config={
-        "n_max": n_max, "c_max": c_max, "source": source_label, "emit_all": emit_all})
+    report = CampaignReport(config={
+        "n_max": n_max, "c_max": c_max, "source": source_label,
+        "emit_all": emit is not None})
     graphs: list[Graph] = []
     if source is None:
         # check the whole range before enumerating anything, so exceeding
@@ -513,11 +534,13 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
             graphs.append(g)
 
     size = -(-len(graphs) // (4 * workers)) or 1
-    tasks = [(tuple(graphs[i:i + size]), emit_all)
+    tasks = [(tuple(graphs[i:i + size]), emit is not None)
              for i in range(0, len(graphs), size)]
     pool = (multiprocessing.get_context("fork").Pool(min(workers, len(tasks)))
             if workers > 1 and len(tasks) > 1 else None)
     with pool or contextlib.nullcontext():
-        for part in (pool.imap if pool else map)(_scan_chunk, tasks):
+        for part, text in (pool.imap if pool else map)(_scan_chunk, tasks):
             report.merge(part)
+            if emit is not None:
+                emit(text)
     return report

@@ -12,7 +12,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import snlab.cli
+import snlab.theorems
 from snlab import Graph, SignedGraph, cycle_graph, path_graph, write_graph6, write_sgl
 from snlab.cli import main
 
@@ -136,6 +139,39 @@ class TestVerifyCommand:
         out.write_text("an earlier report\n")
         assert main(["verify", "--n-max", "9", "--out", str(out)]) == 3
         assert out.read_text() == "an earlier report\n"
+
+    def test_failed_streamed_campaign_keeps_the_old_report(self, tmp_path,
+                                                           monkeypatch):
+        """``--emit-all`` writes lines as chunks arrive; a campaign that
+        fails part-way still leaves the earlier report as it was, and no
+        partial file behind."""
+        real_classes, real_scan = snlab.theorems._classes, snlab.cli.gap_scan
+        seen, streamed = [], []
+
+        # the four chunks of n <= 5 hold 11, 26, 49 and 130 classes, so
+        # the 41st class is in the third
+        def failing(g):
+            for item in real_classes(g):
+                if len(seen) == 40:
+                    raise RuntimeError("the scan failed part-way")
+                seen.append(item)
+                yield item
+
+        def spying(emit, **kwargs):
+            def sink(text):
+                streamed.append(text)
+                return emit(text)
+            return real_scan(emit=sink, **kwargs)
+
+        monkeypatch.setattr(snlab.theorems, "_classes", failing)
+        monkeypatch.setattr(snlab.cli, "gap_scan", spying)
+        out = tmp_path / "r.jsonl"
+        out.write_text("an earlier report\n")
+        with pytest.raises(RuntimeError):
+            main(["verify", "--n-max", "5", "--emit-all", "--out", str(out)])
+        assert [text.count("\n") for text in streamed] == [11, 26]
+        assert out.read_text() == "an earlier report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 
     def test_parse_error_exit(self, tmp_path):
         src = tmp_path / "bad.g6"

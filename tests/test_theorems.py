@@ -47,7 +47,10 @@ from snlab import (
     vertices_on_cycles,
     write_graph6,
 )
+from conftest import WRONG_NULLITY, signed_sweep
 from snlab.balance import cotree_edges, is_balanced
+from snlab.cli import _dump_line
+from snlab.formats import graph6_decode
 from snlab.generation import enumerate_connected, enumerate_signatures
 from snlab.graphs import is_connected
 from snlab.theorems import _classes
@@ -80,6 +83,24 @@ def fake_pool(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
     yield sizes, chunks
+
+
+def scan_emitting(*args, **kwargs):
+    """``gap_scan`` with a list as its ``emit`` sink: the report, and the
+    texts the sink was given, one per chunk."""
+    chunks: list[str] = []
+    report = gap_scan(*args, emit=chunks.append, **kwargs)
+    return report, chunks
+
+
+def row_of(sg: SignedGraph, **wrong) -> dict:
+    """The emitted row of one class, rebuilt from the one-off queries;
+    ``wrong`` overrides the nullity and recomputes the slack."""
+    rec = invariant_record(sg, check=False).to_json_dict()
+    rec.update(wrong)
+    rec["s"] = rec["upper"] - rec["eta"]
+    return {"graph6": graph6_encode(sg.graph),
+            "negatives": [list(e) for e in sg.negative_edges()], **rec}
 
 
 def square_with_tail() -> Graph:
@@ -427,14 +448,18 @@ class TestGapScan:
         assert report.clean
 
     def test_emit_all_records(self):
-        report = gap_scan(4, emit_all=True)
-        assert report.records is not None
-        assert len(report.records) == report.totals["signatures"]
-        sample = report.records[0]
+        report, chunks = scan_emitting(4)
+        lines = "".join(chunks).splitlines()
+        assert len(lines) == report.totals["signatures"]
+        sample = json.loads(lines[0])
         for key in ("graph6", "negatives", "n", "m", "c", "eta",
                     "balanced", "lower", "upper", "s"):
             assert key in sample
-        assert gap_scan(4).records is None
+        assert report.config["emit_all"] is True
+        plain = gap_scan(4)
+        assert plain.config["emit_all"] is False
+        assert plain.to_json_dict() == {**report.to_json_dict(),
+                                        "config": plain.config}
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -450,16 +475,18 @@ class TestGapScan:
 
     def test_no_more_pool_processes_than_chunks(self, fake_pool):
         sizes, chunks = fake_pool
-        one = gap_scan(3, workers=1, emit_all=True)
-        many = gap_scan(3, workers=16, emit_all=True)
+        one, one_text = scan_emitting(3, workers=1)
+        many, many_text = scan_emitting(3, workers=16)
         assert sizes == [len(chunks)] == [4]
         assert many.to_json_dict() == one.to_json_dict()
-        assert many.records == one.records
+        # one text per chunk, given to the sink in chunk order
+        assert len(many_text) == 4
+        assert "".join(many_text) == "".join(one_text)
 
     def test_pool_merge_equals_one_worker(self, tmp_path, fake_pool,
                                           wrong_nullity):
         """Chunks merge in order: counts add up and the lists (violations,
-        disagreements, records) concatenate as one worker builds them.
+        disagreements, emitted lines) concatenate as one worker builds them.
         The wrong values of ``wrong_nullity`` put entries in every list."""
         sizes, chunks = fake_pool
         graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
@@ -468,11 +495,13 @@ class TestGapScan:
                    path_graph(9), disjoint_union(path_graph(2), path_graph(2))]
         path = tmp_path / "mixed.g6"
         write_graph6(graphs, str(path))
-        one, four = (gap_scan(6, source=read_graph6(str(path)), workers=w,
-                              emit_all=True) for w in (1, 4))
+        (one, one_text), (four, four_text) = (
+            scan_emitting(6, source=read_graph6(str(path)), workers=w)
+            for w in (1, 4))
         assert sizes == [4] and len(chunks) == 12  # 34 kept, 3 a chunk
         assert four.to_json_dict() == one.to_json_dict()
-        assert four.records == one.records
+        assert len(four_text) == 12
+        assert "".join(four_text) == "".join(one_text)
         assert one.totals["source_skipped"] == 2
         assert one.upper_check["skipped_disconnected"] == 1 + 2 + 1
         assert len(one.violations) == 3
@@ -483,12 +512,26 @@ class TestGapScanSingleSource:
     """The campaign applies the same statements as the one-off queries."""
 
     def test_records_equal_invariant_records(self, signed_upto_5):
-        report = gap_scan(5, emit_all=True)
-        assert len(report.records) == len(signed_upto_5)
-        for row, sg in zip(report.records, signed_upto_5):
-            assert row == {"graph6": graph6_encode(sg.graph),
-                           "negatives": [list(e) for e in sg.negative_edges()],
-                           **invariant_record(sg, check=False).to_json_dict()}
+        _, chunks = scan_emitting(5)
+        lines = "".join(chunks).splitlines()
+        assert len(lines) == len(signed_upto_5)
+        for line, sg in zip(lines, signed_upto_5):
+            assert json.loads(line) == row_of(sg)
+
+    def test_lines_are_the_rows_dumped(self, signed_upto_5):
+        """Each line is built from a per-graph template, yet has exactly
+        the bytes ``cli._dump_line`` gives the class's row; ``EC\\o`` puts
+        a backslash, escaped in JSON, into the graph6 string."""
+        backslash = graph6_decode("EC\\o")
+        for n_max, source, classes in (
+                (5, None, signed_upto_5),
+                (6, [backslash], enumerate_signatures(backslash))):
+            text = "".join(scan_emitting(n_max, source=source)[1])
+            rows = [row_of(sg) for sg in classes]
+            assert text == "".join(_dump_line(r) + "\n" for r in rows)
+            for line, row in zip(text.splitlines(), rows):
+                assert json.loads(line) == row
+        assert '"graph6":"EC\\\\o"' in text
 
     def test_predicate_count_equals_attains_upper(self, signed_upto_5):
         report = gap_scan(5)
@@ -577,3 +620,20 @@ class TestGapScanFailurePath:
         assert upper["tested"] == report.totals["signatures"] == 5
         assert upper["agreements"] == 5 - 3
         assert report.histogram[(2, 0)] == {1: 1}
+
+    def test_emitted_lines_carry_the_wrong_values(self, wrong_nullity):
+        report, chunks = scan_emitting(3)
+        rows = []
+        for sg in signed_sweep(3):
+            key = (sg.n, len(sg.graph.edges), len(sg.negatives))
+            rows.append(row_of(sg, **({"eta": WRONG_NULLITY[key]}
+                                      if key in WRONG_NULLITY else {})))
+        lines = "".join(chunks).splitlines()
+        assert lines == [_dump_line(r) for r in rows]
+        assert {r["eta"] for r in rows} >= {-1, 3}
+        bad = report.violations + report.upper_check["disagreements"]
+        assert len(bad) == 6
+        for row in bad:
+            evidence = {k: v for k, v in row.items()
+                        if k not in ("kind", "predicate")}
+            assert _dump_line(evidence) in lines
