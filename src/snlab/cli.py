@@ -10,18 +10,20 @@ violation (a counterexample artifact is written), 3 capacity exceeded,
 4 parse error.
 
 Campaign reports contain no timing data, so identical configurations
-produce byte-identical files; wall time goes to stderr. ``verify`` writes
-its report to ``<out>.part`` and renames it onto ``--out`` once the
-campaign has finished, so a failed campaign leaves an earlier report as
-it was. Report schema:
+produce byte-identical files; wall time goes to stderr. When ``--out``
+is a regular file (also behind symlinks), ``verify`` writes its report
+to a temporary file beside it and renames that onto it once the campaign
+has finished, so a failed campaign leaves an earlier report as it was;
+a device such as ``/dev/null`` is written directly. Report schema:
 without ``--emit-all`` a single JSON object with keys ``config``,
 ``totals``, ``histogram`` (slack counts keyed by "n,c"), ``violations``
 and ``upper_check``; with ``--emit-all`` JSON-lines, one object per
 (graph, signature) with keys ``graph6``, ``negatives``, ``n``, ``m``,
 ``c``, ``eta``, ``balanced``, ``lower``, ``upper``, ``s``. The lines are
 formatted in the workers and written chunk by chunk in chunk order as the
-chunks arrive, so memory is bounded by the largest chunk's text, not by
-the number of classes.
+chunks arrive, so memory follows the size of the chunks' text, not the
+number of classes: a chunk's text is held until its turn comes, and a
+worker holds about two to three times its chunk's text.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
+import tempfile
 import time
 from typing import Optional, Sequence
 
@@ -39,8 +43,8 @@ from .formats import read_graph6, read_sgl, write_sgl
 from .generation import check_vertex_cap
 from .linalg import char_poly_exact, nullity, sachs_coefficients, signed_adjacency
 from .matching import matching_number
-from .theorems import (FamilyParams, classify_unicyclic, gap_scan, generate_family,
-                       invariant_record, unicyclic_case)
+from .theorems import (FamilyParams, _dump_line, classify_unicyclic, gap_scan,
+                       generate_family, invariant_record, unicyclic_case)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,15 +67,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _open_out(path: Optional[str]):
     """The file at ``path``, closed on exit, or standard output, left open."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="ascii")
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A file for the new content of the existing file ``path``.
+
+    A regular file, also behind symlinks, is replaced only when the block
+    finishes, by renaming a temporary sibling with its permissions onto
+    it, so a failure leaves it as it was; the temporary file is removed on
+    any exception. Anything else, such as ``os.devnull`` or a pipe, is
+    written directly.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        with open(path, "w", encoding="ascii") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    fd, part = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".part")
+    try:
+        with open(fd, "w", encoding="ascii") as fh:
+            os.chmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+            yield fh
+        os.replace(part, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
 
 
 def cmd_invariants(args) -> int:
@@ -115,25 +142,17 @@ def cmd_verify(args) -> int:
         path = args.source[len("graph6:"):]
         source = list(read_graph6(path))
         label = f"graph6:{path}"
-    # a bad --out fails before the campaign; the report goes to a sibling
-    # file that replaces --out only once the campaign has finished
+    # a bad --out fails before the campaign
     open(args.out, "a", encoding="ascii").close()
-    part = args.out + ".part"
-    try:
-        with open(part, "w", encoding="ascii") as fh:
-            started = time.monotonic()
-            report = gap_scan(n_max=args.n_max, c_max=args.c_max, source=source,
-                              source_label=label, workers=args.workers,
-                              emit=fh.write if args.emit_all else None)
-            elapsed = time.monotonic() - started
-            if not args.emit_all:
-                fh.write(json.dumps(report.to_json_dict(), sort_keys=True,
-                                    indent=2) + "\n")
-        os.replace(part, args.out)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(part)
-        raise
+    with _replacing(args.out) as fh:
+        started = time.monotonic()
+        report = gap_scan(n_max=args.n_max, c_max=args.c_max, source=source,
+                          source_label=label, workers=args.workers,
+                          emit=fh.write if args.emit_all else None)
+        elapsed = time.monotonic() - started
+        if not args.emit_all:
+            fh.write(json.dumps(report.to_json_dict(), sort_keys=True,
+                                indent=2) + "\n")
 
     bad = report.violations + report.upper_check["disagreements"]
     if bad:

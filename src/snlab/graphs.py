@@ -62,19 +62,14 @@ class Graph:
     edges: frozenset[Edge] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        n = self.n
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
-        # keep an edge set that is already normalized and in range
-        if (type(self.edges) is frozenset
-                and all(0 <= u < v < n for u, v in self.edges)):
-            return
+        if self.n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         norm = set()
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
             norm.add(_norm_edge(u, v))
         object.__setattr__(self, "edges", frozenset(norm))
 

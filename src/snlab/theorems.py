@@ -54,6 +54,12 @@ class InvariantRecord:
                 "upper": self.upper, "s": self.s}
 
 
+def _dump_line(obj) -> str:
+    """``obj`` as compact JSON with sorted keys, the form of every line of
+    the JSON-lines outputs."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _bounds(n: int, m: int, c: int) -> tuple[int, int]:
     """The nullity bounds ``(n - 2m - c, n - 2m + 2c)``."""
     return n - 2 * m - c, n - 2 * m + 2 * c
@@ -430,10 +436,9 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
     The bounds are computed once per graph; each signature adds its
     nullity and, on a connected graph, the upper-bound predicate. A row
     dict is built only for a class that breaks a law or disagrees with the
-    predicate. An emitted line is the row serialized as ``cli._dump_line``
-    does (sorted keys, no spaces): the values fixed for the graph are
-    formatted once, and each class fills in its ``eta``, ``s`` and
-    negative cotree edges.
+    predicate. An emitted line is ``_dump_line`` of the class's row: the
+    row is dumped once per graph with placeholders, and each class fills
+    in its ``eta``, ``s`` and negative cotree edges.
     """
     n, m, c = g.n, matching_number(g), cycle_space_dim(g)
     lower, upper = _bounds(n, m, c)
@@ -444,20 +449,19 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
     up = report.upper_check
     lines: list[str] = []
     if emit:
-        # indexed by balance; forest edges are positive, so only pattern 0
-        # is balanced
-        heads = [f'{{"balanced":{b},"c":{c},"eta":' for b in ("false", "true")]
-        middle = (f',"graph6":{json.dumps(g6)},"lower":{lower},"m":{m},'
-                  f'"n":{n},"negatives":[')
-        end = f',"upper":{upper}}}\n'
-        # the negative edges of pattern t, each followed by a comma, are
-        # low[t & mask] + high[t >> half]
-        half = len(cotree) // 2
-        mask = (1 << half) - 1
-        low, high = [""], [""]
-        for i, (u, v) in enumerate(cotree):
-            tab = low if i < half else high
-            tab += [x + f"[{u},{v}]," for x in tab]
+        # one format string per balance (forest edges are positive, so only
+        # pattern 0 is balanced), with a field for each per-class value
+        fields = {"eta": "\0eta", "s": "\0s", "negatives": ["\0negatives"]}
+        templates = []
+        for balanced in (False, True):
+            rec = InvariantRecord(n=n, m=m, c=c, eta=0, balanced=balanced,
+                                  lower=lower, upper=upper, s=0)
+            line = _dump_line({"graph6": g6, **rec.to_json_dict(), **fields})
+            line = line.replace("{", "{{").replace("}", "}}")
+            for key in fields:
+                line = line.replace(json.dumps("\0" + key), "{" + key + "}")
+            templates.append(line + "\n")
+        pieces = [_dump_line(e) for e in cotree]
     for t, eta, predicate in _classes(g):
         s = upper - eta
         by_s[s] = by_s.get(s, 0) + 1
@@ -467,8 +471,8 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
             up["predicate_true"] += predicate
             up["agreements"] += agrees
         if emit:
-            negatives = (low[t & mask] + high[t >> half])[:-1]
-            lines.append(f'{heads[t == 0]}{eta}{middle}{negatives}],"s":{s}{end}')
+            negatives = ",".join([p for i, p in enumerate(pieces) if t >> i & 1])
+            lines.append(templates[t == 0].format(eta=eta, s=s, negatives=negatives))
         if broken or not agrees:
             rec = InvariantRecord(n=n, m=m, c=c, eta=eta, balanced=t == 0,
                                   lower=lower, upper=upper, s=s)
@@ -508,7 +512,9 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
     as they arrive, so the report is identical for every worker count.
     With an ``emit`` sink, each chunk's text, one JSON line per class (see
     :func:`_scan_graph`), is passed to it in chunk order as the chunk
-    arrives, so no more than a chunk's lines is held at a time.
+    arrives. A chunk's text is held until its turn comes; a pool worker
+    holds about two to three times its chunk's text (the lines, the
+    joined string and its pickle).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")

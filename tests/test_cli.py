@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -172,6 +174,32 @@ class TestVerifyCommand:
         assert [text.count("\n") for text in streamed] == [11, 26]
         assert out.read_text() == "an earlier report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
+    def test_symlinked_out_gets_the_report(self, tmp_path):
+        """A symlinked ``--out`` stays a symlink: the file it names gets the
+        report and keeps its permissions, and a user's file that happens
+        to be called ``<out>.part`` is left alone."""
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("an earlier report\n")
+        real.chmod(0o640)
+        link.symlink_to(real)
+        mine = tmp_path / "real.json.part"
+        mine.write_text("not the report's\n")
+        assert main(["verify", "--n-max", "3", "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == real
+        assert json.loads(real.read_text())["totals"]["signatures"] == 5
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert mine.read_text() == "not the report's\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.json", "real.json", "real.json.part"]
+
+    def test_devnull_out(self):
+        """``--out`` is required, so ``os.devnull`` is how a report is
+        discarded; it is written, not replaced."""
+        for extra in ([], ["--emit-all"]):
+            assert main(["verify", "--n-max", "3", *extra,
+                         "--out", os.devnull]) == 0
+            assert not stat.S_ISREG(os.stat(os.devnull).st_mode)
 
     def test_parse_error_exit(self, tmp_path):
         src = tmp_path / "bad.g6"
