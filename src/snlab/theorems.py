@@ -449,19 +449,20 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
     up = report.upper_check
     lines: list[str] = []
     if emit:
-        # one format string per balance (forest edges are positive, so only
-        # pattern 0 is balanced), with a field for each per-class value
-        fields = {"eta": "\0eta", "s": "\0s", "negatives": ["\0negatives"]}
-        templates = []
-        for balanced in (False, True):
-            rec = InvariantRecord(n=n, m=m, c=c, eta=0, balanced=balanced,
-                                  lower=lower, upper=upper, s=0)
-            line = _dump_line({"graph6": g6, **rec.to_json_dict(), **fields})
-            line = line.replace("{", "{{").replace("}", "}}")
-            for key in fields:
-                line = line.replace(json.dumps("\0" + key), "{" + key + "}")
-            templates.append(line + "\n")
-        pieces = [_dump_line(e) for e in cotree]
+        # the row dumped with placeholders, as format strings whose fields
+        # {0}, {1}, {2} are a class's eta, s and negatives; one per balance
+        # (forest edges are positive, so only pattern 0 is balanced)
+        rec = InvariantRecord(n=n, m=m, c=c, eta=0, balanced=False,
+                              lower=lower, upper=upper, s=0)
+        line = _dump_line({"graph6": g6, **rec.to_json_dict(), "eta": "\0eta",
+                           "s": "\0s", "negatives": ["\0negatives"],
+                           "balanced": "\0balanced"})
+        line = line.replace("{", "{{").replace("}", "}}")
+        for i, key in enumerate(("eta", "s", "negatives")):
+            line = line.replace(json.dumps("\0" + key), f"{{{i}}}")
+        templates = [line.replace(json.dumps("\0balanced"), json.dumps(b)) + "\n"
+                     for b in (False, True)]
+        pieces = [f"[{u},{v}]" for u, v in cotree]
     for t, eta, predicate in _classes(g):
         s = upper - eta
         by_s[s] = by_s.get(s, 0) + 1
@@ -472,7 +473,7 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
             up["agreements"] += agrees
         if emit:
             negatives = ",".join([p for i, p in enumerate(pieces) if t >> i & 1])
-            lines.append(templates[t == 0].format(eta=eta, s=s, negatives=negatives))
+            lines.append(templates[t == 0].format(eta, s, negatives))
         if broken or not agrees:
             rec = InvariantRecord(n=n, m=m, c=c, eta=eta, balanced=t == 0,
                                   lower=lower, upper=upper, s=s)
