@@ -13,9 +13,9 @@ from .errors import CapacityError, ParseError, StructureError, TheoremViolation
 from .formats import (graph6_decode, graph6_encode, read_graph6, read_sgl,
                       sgl_dumps, sgl_loads, write_graph6, write_sgl)
 from .generation import (CAPACITY_OVERRIDE_ENV, ENUMERATION_VERTEX_CAP,
-                         canonical_form, canonical_graph, count_switching_classes,
-                         effective_vertex_cap, enumerate_connected,
-                         enumerate_signatures)
+                         automorphism_generators, canonical_form, canonical_graph,
+                         count_switching_classes, effective_vertex_cap,
+                         enumerate_connected, enumerate_signatures)
 from .graphs import (ContractionTree, Cycle, Graph, PendantType, SignedGraph,
                      complete_graph, connected_components, contract_cycles,
                      cotree_edges, cycle_graph, cycle_space_dim,

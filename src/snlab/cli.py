@@ -13,8 +13,9 @@ Campaign reports contain no timing data, so identical configurations
 produce byte-identical files; wall time goes to stderr. When ``--out``
 is a regular file (also behind symlinks), ``verify`` writes its report
 to a temporary file beside it and renames that onto it once the campaign
-has finished, so a failed campaign leaves an earlier report as it was;
-a device such as ``/dev/null`` is written directly. Report schema:
+has finished, so a failed campaign leaves an earlier report as it was
+(and no file where there was none); a device such as ``/dev/null`` is
+written directly. Report schema:
 without ``--emit-all`` a single JSON object with keys ``config``,
 ``totals``, ``histogram`` (slack counts keyed by "n,c"), ``violations``
 and ``upper_check``; with ``--emit-all`` JSON-lines, one object per
@@ -142,17 +143,25 @@ def cmd_verify(args) -> int:
         path = args.source[len("graph6:"):]
         source = list(read_graph6(path))
         label = f"graph6:{path}"
-    # a bad --out fails before the campaign
+    # a bad --out fails before the campaign; a file this check creates is
+    # removed again if the campaign fails
+    created = not os.path.exists(args.out)
     open(args.out, "a", encoding="ascii").close()
-    with _replacing(args.out) as fh:
-        started = time.monotonic()
-        report = gap_scan(n_max=args.n_max, c_max=args.c_max, source=source,
-                          source_label=label, workers=args.workers,
-                          emit=fh.write if args.emit_all else None)
-        elapsed = time.monotonic() - started
-        if not args.emit_all:
-            fh.write(json.dumps(report.to_json_dict(), sort_keys=True,
-                                indent=2) + "\n")
+    try:
+        with _replacing(args.out) as fh:
+            started = time.monotonic()
+            report = gap_scan(n_max=args.n_max, c_max=args.c_max, source=source,
+                              source_label=label, workers=args.workers,
+                              emit=fh.write if args.emit_all else None)
+            elapsed = time.monotonic() - started
+            if not args.emit_all:
+                fh.write(json.dumps(report.to_json_dict(), sort_keys=True,
+                                    indent=2) + "\n")
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(os.path.realpath(args.out))
+        raise
 
     bad = report.violations + report.upper_check["disagreements"]
     if bad:

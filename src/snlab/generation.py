@@ -6,9 +6,14 @@ from a connected graph on k-1 vertices by attaching a new vertex to a
 nonempty neighbor set; deleting a non-cut vertex never increases the
 cycle-space dimension, so a dimension cap may prune at every level. The
 catalog is the set of the children's canonical forms, each decoded once.
-The search for a form keeps only the partial orders with the least prefix
+Neighbor sets in one orbit of the parent's automorphism group give
+isomorphic children, so a set in the orbit of one visited before is
+skipped: one form per orbit (388 for n <= 6, against 759 children). The
+search for a form keeps only the partial orders with the least prefix
 (exact: columns have fixed lengths) and tries one vertex per twin class
 (exact: swapping two twins is an automorphism fixing the placed vertices).
+The group is a few generators per graph (:func:`automorphism_generators`),
+found by backtracking within the refinement colours.
 
 Signatures are enumerated one per switching class: fixing a spanning
 forest, every class has exactly one representative with all forest edges
@@ -117,6 +122,124 @@ def canonical_graph(g: Graph) -> Graph:
     return Graph.from_bits(*canonical_form(g))
 
 
+def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Generators of the automorphism group of ``g`` as image tuples
+    (``perm[v]`` is the image of ``v``); ``Graph.automorphisms`` keeps them
+    once per graph.
+
+    The search goes from the deepest level first: for ``i = n-2 .. 0`` and
+    each ``w > i`` of ``i``'s refinement colour outside the orbit of ``i``
+    under the generators found so far, it keeps one automorphism fixing
+    ``0 .. i-1`` and sending ``i`` to ``w``, if there is one. The generators
+    kept at levels ``>= i`` then generate the pointwise stabilizer of ``0 ..
+    i-1`` (a strong generating set), and each one joins two orbits of the
+    group found before it, so there are at most ``n - 1``: K_n gets ``n -
+    1`` transpositions.
+    """
+    n, nbrs = g.n, [g.neighbors(v) for v in range(g.n)]
+    colors = _refine_colors(nbrs)
+    adj = [sum(1 << w for w in a) for a in nbrs]
+    cells: dict[int, list[int]] = {}
+    for v in range(n):
+        cells.setdefault(colors[v], []).append(v)
+    gens: list[tuple[int, ...]] = []
+    choices = [[v] for v in range(n)]  # the images a search may give v
+    for i in range(n - 2, -1, -1):
+        choices[i + 1] = cells[colors[i + 1]]
+        # the images of i that keep its adjacency to the fixed 0 .. i-1
+        fixed = adj[i] & (1 << i) - 1
+        targets = [w for w in cells[colors[i]]
+                   if w > i and adj[w] & (1 << i) - 1 == fixed]
+        if not targets:
+            continue
+        # 0 .. i first, then the rest in breadth-first order, so most meet a
+        # placed neighbour, whose image leaves them few candidates
+        order = list(range(i + 1)) + [v for v in g._forest[1] if v > i]
+        plan = [(v, [u for u in order[:p] if adj[v] >> u & 1])
+                for p, v in enumerate(order)]
+        orbit = {i}
+        for w in targets:
+            if w in orbit:
+                continue
+            choices[i] = [w]
+            perm = _extend(plan, adj, choices)
+            if perm is None:
+                continue
+            gens.append(perm)
+            todo = [i]
+            while todo:
+                v = todo.pop()
+                for p in gens:
+                    if p[v] not in orbit:
+                        orbit.add(p[v])
+                        todo.append(p[v])
+    return tuple(gens)
+
+
+def _extend(plan: list[tuple[int, list[int]]], adj: list[int],
+            choices: list[list[int]]) -> Optional[tuple[int, ...]]:
+    """An automorphism sending each ``v`` into ``choices[v]``, or None: a
+    backtracking search placing the vertices as ``plan`` lists them, each
+    with its neighbours placed before it. A candidate image must match the
+    adjacency to every vertex placed before. Iterative, so the depth is
+    not bounded by the recursion limit."""
+    img, tried = [-1] * len(plan), [0] * len(plan)
+    p = used = 0
+    while 0 <= p < len(plan):
+        v, back = plan[p]
+        if img[v] >= 0:  # back from p + 1: free the last image of v
+            used ^= 1 << img[v]
+            img[v] = -1
+        want = sum(1 << img[u] for u in back)
+        for k in range(tried[p], len(choices[v])):
+            x = choices[v][k]
+            if not used >> x & 1 and adj[x] & used == want:
+                img[v], tried[p] = x, k + 1
+                used |= 1 << x
+                p += 1
+                break
+        else:
+            tried[p] = 0
+            p -= 1
+    return tuple(img) if p == len(plan) else None
+
+
+def _xor_table(masks: list[int]) -> list[int]:
+    """The XOR of ``masks[i]`` over the set bits ``i`` of ``x``, for each
+    ``x < 2**len(masks)``."""
+    table = [0]
+    for mask in masks:
+        table += [x ^ mask for x in table]
+    return table
+
+
+class _LinearAction:
+    """Permutations of bit patterns that are linear over GF(2), each given
+    by the images of the unit patterns ``1 << i``; ``x`` goes to the XOR of
+    the images of its set bits. Each permutation is kept as three lookup
+    tables, one per third of the bits, so it takes ``3 * 2**(bits/3)``
+    entries, not ``2**bits``."""
+
+    def __init__(self, units: list[list[int]]):
+        self.w = w = -(-len(units[0]) // 3) if units else 0
+        self.maps = [tuple(_xor_table(u[i:i + w]) for i in (0, w, 2 * w))
+                     for u in units]
+
+    def mark_orbit(self, x: int, marks, mark: int) -> None:
+        """Set ``marks[y] = mark`` on the orbit of ``x``, which is unmarked
+        (0) as a whole."""
+        w, third = self.w, (1 << self.w) - 1
+        marks[x] = mark
+        todo = [x]
+        while todo:
+            x = todo.pop()
+            for t0, t1, t2 in self.maps:
+                y = t0[x & third] ^ t1[x >> w & third] ^ t2[x >> 2 * w]
+                if not marks[y]:
+                    marks[y] = mark
+                    todo.append(y)
+
+
 # ---------------------------------------------------------------------------
 # connected graph catalogs
 
@@ -132,10 +255,16 @@ def _connected_catalog(n: int, max_c: Optional[int]) -> tuple[Graph, ...]:
     forms: set[tuple[int, int]] = set()
     for parent in _connected_catalog(n - 1, max_c):
         top = n - 1 if max_c is None else max_c - cycle_space_dim(parent) + 1
+        # the parent's automorphisms acting on neighbour sets as bitmasks
+        action = _LinearAction([[1 << v for v in p] for p in parent.automorphisms])
+        seen = bytearray(1 << n - 1)  # 1 on the orbits of the sets visited
         for size in range(1, min(n - 1, top) + 1):
             for nbrs in combinations(range(n - 1), size):
-                forms.add(canonical_form(
-                    Graph(n, parent.edges | {(v, n - 1) for v in nbrs})))
+                mask = sum(1 << v for v in nbrs)
+                if not seen[mask]:
+                    action.mark_orbit(mask, seen, 1)
+                    forms.add(canonical_form(
+                        Graph(n, parent.edges | {(v, n - 1) for v in nbrs})))
     return tuple(Graph.from_bits(*form) for form in sorted(forms))
 
 

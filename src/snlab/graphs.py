@@ -142,6 +142,14 @@ class Graph:
         return tuple(pos), k, isolated
 
     @cached_property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Generators of the automorphism group, as image tuples, computed
+        once per graph; see
+        :func:`snlab.generation.automorphism_generators`."""
+        from .generation import automorphism_generators  # it imports this module
+        return automorphism_generators(self)
+
+    @cached_property
     def _disjoint_cycles(self) -> Optional[tuple[Cycle, ...]]:
         """The cycles sorted by vertices, or None when two share a vertex;
         see :func:`cycles_pairwise_vertex_disjoint`. Walks the fundamental

@@ -17,13 +17,14 @@ from __future__ import annotations
 import contextlib
 import json
 import multiprocessing
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .balance import cycle_sign, is_balanced
 from .errors import TheoremViolation
 from .formats import graph6_encode, sgl_dumps
-from .generation import check_vertex_cap, enumerate_connected
+from .generation import _LinearAction, check_vertex_cap, enumerate_connected
 from .graphs import (Cycle, Edge, Graph, PendantType, SignedGraph, cotree_edges,
                      cycle_space_dim, cycles_pairwise_vertex_disjoint, delete_vertices,
                      is_connected, vertices_on_cycles)
@@ -359,6 +360,36 @@ class CampaignReport:
         return not self.violations and not self.upper_check["disagreements"]
 
 
+def _pattern_action(g: Graph, cotree: list[Edge]) -> _LinearAction:
+    """``g``'s automorphisms acting on cotree patterns.
+
+    An automorphism maps the class whose one negative edge is ``e`` to the
+    class whose one negative edge is the image of ``e``; its pattern is the
+    set of fundamental cycles through that edge, which for a forest edge
+    are those of the cotree edges with one end below it. A pattern is the
+    XOR of the patterns of its negative edges, so the map is linear over
+    GF(2). Below five cotree edges the action has no generators: on the
+    catalogs for n = 6 and 7 (2-core Xeon), finding the group and building
+    its tables took longer than ranking those at most 16 classes.
+    """
+    gens = g.automorphisms if len(cotree) >= 5 else ()
+    if not gens:
+        return _LinearAction([])
+    parent, order = g._forest
+    below = [0] * g.n  # the cotree bits at an odd number of ends below v
+    through = {}
+    for j, (u, v) in enumerate(cotree):
+        below[u] ^= 1 << j
+        below[v] ^= 1 << j
+        through[u, v] = 1 << j
+    for v in reversed(order):
+        if parent[v] != -1:
+            below[parent[v]] ^= below[v]
+            through[min(v, parent[v]), max(v, parent[v])] = below[v]
+    return _LinearAction([[through[min(p[u], p[v]), max(p[u], p[v])]
+                           for u, v in cotree] for p in gens])
+
+
 def _classes(g: Graph) -> Iterator[tuple[int, int, bool]]:
     """``(pattern, eta, attains)`` for every switching class of ``g``, in
     pattern order; ``attains`` is :func:`attains_upper` (False on a
@@ -382,6 +413,15 @@ def _classes(g: Graph) -> Iterator[tuple[int, int, bool]]:
     + rank(residual)``. ``low`` weighs one elimination of the core per
     ``2**low`` classes against one of the residual per class, each costing
     about its size cubed.
+
+    An automorphism of ``g`` maps each class to an isomorphic class, so
+    only the least pattern of each orbit of ``g.automorphisms`` (from five
+    cotree edges on, see :func:`_pattern_action`) is ranked;
+    its eta is spread over the orbit in a table of one byte per pattern,
+    where every later pattern of the orbit reads it. A generator acts on
+    patterns as a GF(2)-linear map (see :func:`_pattern_action`). The core
+    is eliminated only in blocks with a pattern to rank, at the first of
+    them, since entries outside ``inner`` do not change inside a block.
     """
     cotree = cotree_edges(g)
     pos, k, isolated = g.pendant_core
@@ -412,21 +452,29 @@ def _classes(g: Graph) -> Iterator[tuple[int, int, bool]]:
                 for cyc, sign in zip(cycles, wanted))
     base = isolated + k
     at = {v: i for i, v in enumerate(inner)}
-    block = (1 << low) - 1
+    action = _pattern_action(g, cotree)
+    # eta + 1 of each pattern, 0 until the least pattern of its orbit (the
+    # first visited) is ranked and its eta spread over the orbit
+    etas = array("B" if base < 255 else "L", [0]) * (1 << len(cotree))
+    done = -1  # the last block whose core is eliminated outside inner
     for t in range(1 << len(cotree)):
         for i in range((t & -t).bit_length()):  # the bits of t ^ (t - 1)
             if core_entry[i] is not None:
                 a, b = core_entry[i]
                 old = rows[a][b]
                 rows[a][b] = rows[b][a] = -old
-                if t & block:  # bit i is below low, so a and b are inner
+                if t >> low == done:  # bit i is below low: a and b are inner
                     residual[at[a]][at[b]] -= 2 * scale[at[a]] * old
                     residual[at[b]][at[a]] -= 2 * scale[at[b]] * old
-        if not t & block:
-            pivots, residual, scale = eliminate_outside(rows, inner)
+        if not etas[t]:
+            if t >> low != done:
+                done = t >> low
+                pivots, residual, scale = eliminate_outside(rows, inner)
+            action.mark_orbit(
+                t, etas, base - pivots - rank_division_free(residual) + 1)
         attains = attaining is not None and all(
             (t & mask).bit_count() & 1 == odd for mask, odd in attaining)
-        yield t, base - pivots - rank_division_free(residual), attains
+        yield t, etas[t] - 1, attains
 
 
 def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:

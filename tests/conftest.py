@@ -1,5 +1,6 @@
-"""Shared fixtures: enumeration sweeps reused across test modules, and the
-block decomposition that cycle structure is checked against.
+"""Shared fixtures: enumeration sweeps reused across test modules, a few
+symmetric graphs, and the block decomposition that cycle structure is
+checked against.
 
 The expensive sweeps (connected catalogs with all signature
 representatives) are session-scoped so the acceptance tests and the
@@ -26,6 +27,21 @@ def signed_sweep(n_max, **filters):
     for g in connected_graphs_upto(n_max, **filters):
         for sg in enumerate_signatures(g):
             yield sg
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, frozenset((i, a + j) for i in range(a) for j in range(b)))
+
+
+def cube() -> Graph:
+    return Graph(8, frozenset((v, v ^ 1 << k) for v in range(8) for k in range(3)
+                              if v < v ^ 1 << k))
+
+
+def petersen() -> Graph:
+    return Graph(10, frozenset(
+        [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]))
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,24 @@ class TestVerifyCommand:
         assert out.read_text() == "an earlier report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 
+    def test_failed_campaign_leaves_no_new_out(self, tmp_path, monkeypatch):
+        """The check that ``--out`` can be opened creates a missing file; a
+        failed campaign removes it again, also behind a dangling symlink,
+        and leaves nothing else."""
+        def failing(g):
+            raise RuntimeError("the scan failed")
+            yield
+
+        monkeypatch.setattr(snlab.theorems, "_classes", failing)
+        link, out = tmp_path / "link.json", tmp_path / "r.json"
+        link.symlink_to(tmp_path / "target.json")
+        for path in (out, link):
+            for extra in ([], ["--emit-all"]):
+                with pytest.raises(RuntimeError):
+                    main(["verify", "--n-max", "3", *extra, "--out", str(path)])
+                assert [p.name for p in tmp_path.iterdir()] == ["link.json"]
+                assert link.is_symlink() and not link.exists()
+
     def test_symlinked_out_gets_the_report(self, tmp_path):
         """A symlinked ``--out`` stays a symlink: the file it names gets the
         report and keeps its permissions, and a user's file that happens

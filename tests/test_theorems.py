@@ -27,6 +27,7 @@ from snlab import (
     TheoremViolation,
     attains_upper,
     classify_unicyclic,
+    complete_graph,
     cycle_graph,
     cycle_space_dim,
     disjoint_union,
@@ -47,7 +48,8 @@ from snlab import (
     vertices_on_cycles,
     write_graph6,
 )
-from conftest import WRONG_NULLITY, signed_sweep
+from conftest import (WRONG_NULLITY, complete_bipartite, cube, petersen,
+                      signed_sweep)
 from snlab.balance import cotree_edges, is_balanced
 from snlab.cli import _dump_line
 from snlab.formats import graph6_decode
@@ -583,6 +585,17 @@ class TestClassScan:
             g = self.random_graph(rng, rng.randrange(2, 9), connected=False)
             if cycle_space_dim(g) <= 8:
                 self.assert_matches_reference(g)
+
+    def test_symmetric_graphs(self):
+        """Large automorphism groups, so most classes take their nullity
+        from an earlier class of their orbit; the last graph's group swaps
+        its two components."""
+        wheel = Graph(7, cycle_graph(6).edges | {(v, 6) for v in range(6)})
+        chorded = Graph(8, cycle_graph(8).edges | {(v, v + 4) for v in range(4)})
+        for g in (cube(), petersen(), complete_bipartite(3, 3),
+                  complete_bipartite(4, 4), wheel, chorded,
+                  disjoint_union(complete_graph(4), complete_graph(4))):
+            self.assert_matches_reference(g)
 
     def test_cores_above_8(self):
         rng = random.Random(12)
