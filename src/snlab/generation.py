@@ -8,10 +8,16 @@ cycle-space dimension, so a dimension cap may prune at every level. The
 catalog is the set of the children's canonical forms, each decoded once.
 Neighbor sets in one orbit of the parent's automorphism group give
 isomorphic children, so a set in the orbit of one visited before is
-skipped: one form per orbit (388 for n <= 6, against 759 children). The
-search for a form keeps only the partial orders with the least prefix
-(exact: columns have fixed lengths) and tries one vertex per twin class
-(exact: swapping two twins is an automorphism fixing the placed vertices).
+skipped (388 visits for n <= 6, against 759 children). A visited child is
+also skipped when another non-cut vertex has a greater isomorphism-invariant
+key than the new vertex (:func:`_outranked`): every connected graph still
+arises from the parent left by deleting a non-cut vertex of greatest key,
+under a dimension cap too, so the catalog stays complete, and the set of
+forms removes the duplicates that ties leave (144 forms for the 143 graphs
+with n <= 6). The search for a form keeps only the partial orders with the
+least prefix (exact: columns have fixed lengths) and tries one vertex per
+twin class (exact: swapping two twins is an automorphism fixing the placed
+vertices).
 The group is a few generators per graph (:func:`automorphism_generators`),
 found by backtracking within the refinement colours.
 
@@ -90,10 +96,14 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     have fixed lengths) and tries one vertex per twin class, ``N(u) - {w} ==
     N(w) - {u}`` (exact: swapping twins is an automorphism fixing the rest).
     """
-    n, nbrs = g.n, [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    return _canonical_form([sum(1 << w for w in a) for a in g._adj])
+
+
+def _canonical_form(masks: list[int]) -> tuple[int, int]:
+    """:func:`canonical_form` of the graph whose vertex ``v`` has the
+    neighbours of the set bits of ``masks[v]``."""
+    n = len(masks)
+    nbrs = [[w for w in range(n) if a >> w & 1] for a in masks]
     colors = _refine_colors(nbrs)
     # (placed, cols): bits v*n.. of cols hold v's column if placed next; v
     # waits for its lower twins, keyed by N(v) or N[v] (no N(u) is an N[w])
@@ -225,12 +235,12 @@ class _LinearAction:
         self.maps = [tuple(_xor_table(u[i:i + w]) for i in (0, w, 2 * w))
                      for u in units]
 
-    def mark_orbit(self, x: int, marks, mark: int) -> None:
+    def mark_orbit(self, x: int, marks, mark: int) -> int:
         """Set ``marks[y] = mark`` on the orbit of ``x``, which is unmarked
-        (0) as a whole."""
+        (0) as a whole; return the orbit's size."""
         w, third = self.w, (1 << self.w) - 1
         marks[x] = mark
-        todo = [x]
+        todo, size = [x], 1
         while todo:
             x = todo.pop()
             for t0, t1, t2 in self.maps:
@@ -238,10 +248,37 @@ class _LinearAction:
                 if not marks[y]:
                     marks[y] = mark
                     todo.append(y)
+                    size += 1
+        return size
 
 
 # ---------------------------------------------------------------------------
 # connected graph catalogs
+
+def _outranked(adj: list[int], v: int) -> bool:
+    """Whether a non-cut vertex of the connected graph with adjacency masks
+    ``adj`` has a greater key than ``v``; the key, ``(degree, sorted
+    neighbour degrees)``, is invariant under isomorphism."""
+    n = len(adj)
+    deg = [a.bit_count() for a in adj]
+
+    def key(u: int) -> tuple[int, list[int]]:
+        return deg[u], sorted([deg[w] for w in range(n) if adj[u] >> w & 1])
+
+    mine = key(v)
+    for u in range(n):
+        if deg[u] >= mine[0] and u != v and key(u) > mine:
+            rest = ((1 << n) - 1) ^ 1 << u  # is G - u connected?
+            reach, grown = 0, rest & -rest
+            while grown != reach:
+                reach = grown
+                for w in range(n):
+                    if reach >> w & 1:
+                        grown |= adj[w] & rest
+            if reach == rest:
+                return True
+    return False
+
 
 @lru_cache(maxsize=None)
 def _connected_catalog(n: int, max_c: Optional[int]) -> tuple[Graph, ...]:
@@ -258,13 +295,17 @@ def _connected_catalog(n: int, max_c: Optional[int]) -> tuple[Graph, ...]:
         # the parent's automorphisms acting on neighbour sets as bitmasks
         action = _LinearAction([[1 << v for v in p] for p in parent.automorphisms])
         seen = bytearray(1 << n - 1)  # 1 on the orbits of the sets visited
+        masks = [sum(1 << w for w in a) for a in parent._adj]
         for size in range(1, min(n - 1, top) + 1):
             for nbrs in combinations(range(n - 1), size):
                 mask = sum(1 << v for v in nbrs)
                 if not seen[mask]:
                     action.mark_orbit(mask, seen, 1)
-                    forms.add(canonical_form(
-                        Graph(n, parent.edges | {(v, n - 1) for v in nbrs})))
+                    adj = masks + [mask]
+                    for v in nbrs:
+                        adj[v] |= 1 << n - 1
+                    if not _outranked(adj, n - 1):
+                        forms.add(_canonical_form(adj))
     return tuple(Graph.from_bits(*form) for form in sorted(forms))
 
 

@@ -390,38 +390,64 @@ def _pattern_action(g: Graph, cotree: list[Edge]) -> _LinearAction:
                            for u, v in cotree] for p in gens])
 
 
-def _classes(g: Graph) -> Iterator[tuple[int, int, bool]]:
-    """``(pattern, eta, attains)`` for every switching class of ``g``, in
-    pattern order; ``attains`` is :func:`attains_upper` (False on a
-    disconnected graph), balance is ``pattern == 0``.
+def _attaining(g: Graph, cotree: list[Edge]
+               ) -> Optional[tuple[tuple[int, bool], ...]]:
+    """``(cotree mask, wanted parity)`` per cycle of ``g`` when some class
+    can attain the upper bound, else None.
+
+    On a connected graph whose cycles are disjoint and whose contraction
+    tree is matched, a class attains iff each cycle has the sign
+    :func:`_attaining_sign` asks, which an odd cycle never has; forest
+    edges are positive, so the sign of a cycle is the parity of the
+    pattern bits of its cotree edges.
+    """
+    disjoint, cycles = (cycles_pairwise_vertex_disjoint(g) if is_connected(g)
+                        else (False, None))
+    if not disjoint:
+        return None
+    wanted = [_attaining_sign(len(cyc)) for cyc in cycles]
+    if None in wanted or not contraction_matched(g):
+        return None
+    bit = {e: 1 << i for i, e in enumerate(cotree)}
+    return tuple((sum(bit.get(e, 0) for e in cyc.edge_list()), sign == -1)
+                 for cyc, sign in zip(cycles, wanted))
+
+
+def _eta_table(g: Graph):
+    """A zeroed table for :func:`_orbits`: one entry per pattern of ``g``
+    and a last one that stays 0."""
+    size = (1 << cycle_space_dim(g)) + 1
+    return bytearray(size) if g.n < 255 else array("L", [0]) * size
+
+
+def _orbits(g: Graph, etas) -> Iterator[tuple[int, int, int]]:
+    """``(pattern, eta, size)`` for the least pattern of each orbit of the
+    switching classes of ``g``, in pattern order; sets ``etas[t] = eta + 1``
+    on the orbit. ``etas`` is a zeroed :func:`_eta_table`.
 
     Pattern ``t`` stands for the class whose negative edges are the cotree
     edges ``cotree_edges(g)[i]`` of the set bits ``i`` of ``t``, the
     representative :func:`enumerate_signatures` builds in the same order.
-    On the connected graphs whose cycles are disjoint and whose contraction
-    tree is matched, a class attains the upper bound iff each cycle has the
-    sign :func:`_attaining_sign` asks; forest edges are positive, so the
-    sign of a cycle is the parity of the pattern bits of its cotree edges.
 
     The nullity is ``isolated + k - rank`` of the ``k x k`` pendant core,
-    as in :func:`nullity`. From pattern ``t - 1`` to ``t`` the bits of
-    ``t ^ (t - 1)`` change, so the core matrix follows by negating their
+    as in :func:`nullity`. From one ranked pattern to the next the bits
+    of their XOR change, so the core matrix follows by negating their
     entries in place. Once per block of ``2**low`` patterns
     :func:`eliminate_outside` eliminates the core outside ``inner``, the
     core indices the bits below ``low`` touch; inside a block only those
     bits change, and their entries patch the residual, so ``rank = pivots
     + rank(residual)``. ``low`` weighs one elimination of the core per
     ``2**low`` classes against one of the residual per class, each costing
-    about its size cubed.
+    about its size cubed. The core is eliminated only in blocks with a
+    pattern to rank, at the first of them.
 
-    An automorphism of ``g`` maps each class to an isomorphic class, so
-    only the least pattern of each orbit of ``g.automorphisms`` (from five
-    cotree edges on, see :func:`_pattern_action`) is ranked;
-    its eta is spread over the orbit in a table of one byte per pattern,
-    where every later pattern of the orbit reads it. A generator acts on
-    patterns as a GF(2)-linear map (see :func:`_pattern_action`). The core
-    is eliminated only in blocks with a pattern to rank, at the first of
-    them, since entries outside ``inner`` do not change inside a block.
+    Automorphisms of ``g`` and negation (``A(G, -sigma) = -A(G, sigma)``)
+    keep the nullity, so only the least pattern of each orbit under both is
+    ranked, the next one being the next pattern whose entry is still 0. Its
+    eta goes to its orbit under ``g.automorphisms`` (from five cotree edges
+    on, see :func:`_pattern_action`) and to that of its negation ``t ^
+    odd``: ``odd`` has the bits of the odd fundamental cycles, the cotree
+    edges whose ends have depths of equal parity in the forest.
     """
     cotree = cotree_edges(g)
     pos, k, isolated = g.pendant_core
@@ -439,26 +465,23 @@ def _classes(g: Graph) -> Iterator[tuple[int, int, bool]]:
         if cost < best[0]:
             best = (cost, low, tuple(sorted(touched)))
     _, low, inner = best
-    # (cotree mask, wanted parity) per cycle, or None when no class attains
-    attaining = None
-    disjoint, cycles = (cycles_pairwise_vertex_disjoint(g) if is_connected(g)
-                        else (False, None))
-    if disjoint:
-        wanted = [_attaining_sign(len(cyc)) for cyc in cycles]
-        if None not in wanted and contraction_matched(g):
-            bit = {e: 1 << i for i, e in enumerate(cotree)}
-            attaining = tuple(
-                (sum(bit.get(e, 0) for e in cyc.edge_list()), sign == -1)
-                for cyc, sign in zip(cycles, wanted))
     base = isolated + k
     at = {v: i for i, v in enumerate(inner)}
     action = _pattern_action(g, cotree)
-    # eta + 1 of each pattern, 0 until the least pattern of its orbit (the
-    # first visited) is ranked and its eta spread over the orbit
-    etas = array("B" if base < 255 else "L", [0]) * (1 << len(cotree))
+    parent, order = g._forest
+    depth = [0] * g.n
+    for v in order:
+        if parent[v] != -1:
+            depth[v] = depth[parent[v]] + 1
+    odd = sum(1 << j for j, (u, v) in enumerate(cotree)
+              if (depth[u] ^ depth[v]) & 1 == 0)
     done = -1  # the last block whose core is eliminated outside inner
-    for t in range(1 << len(cotree)):
-        for i in range((t & -t).bit_length()):  # the bits of t ^ (t - 1)
+    t = last = 0
+    while t < 1 << len(cotree):
+        flips = t ^ last
+        while flips:
+            i = (flips & -flips).bit_length() - 1
+            flips &= flips - 1
             if core_entry[i] is not None:
                 a, b = core_entry[i]
                 old = rows[a][b]
@@ -466,12 +489,32 @@ def _classes(g: Graph) -> Iterator[tuple[int, int, bool]]:
                 if t >> low == done:  # bit i is below low: a and b are inner
                     residual[at[a]][at[b]] -= 2 * scale[at[a]] * old
                     residual[at[b]][at[a]] -= 2 * scale[at[b]] * old
+        if t >> low != done:
+            done = t >> low
+            pivots, residual, scale = eliminate_outside(rows, inner)
+        eta = base - pivots - rank_division_free(residual)
+        size = action.mark_orbit(t, etas, eta + 1)
+        if not etas[t ^ odd]:
+            size += action.mark_orbit(t ^ odd, etas, eta + 1)
+        yield t, eta, size
+        t, last = etas.index(0, t + 1), t
+
+
+def _classes(g: Graph) -> Iterator[tuple[int, int, bool]]:
+    """``(pattern, eta, attains)`` for every switching class of ``g``, in
+    pattern order; ``attains`` is :func:`attains_upper` (False on a
+    disconnected graph), balance is ``pattern == 0``.
+
+    A pattern whose eta is not yet in the table is the least of its orbit,
+    so :func:`_orbits` ranks it next; every other pattern reads the table.
+    ``attains`` is a parity test per cycle (see :func:`_attaining`).
+    """
+    etas = _eta_table(g)
+    orbits = _orbits(g, etas)
+    attaining = _attaining(g, cotree_edges(g))
+    for t in range(len(etas) - 1):
         if not etas[t]:
-            if t >> low != done:
-                done = t >> low
-                pivots, residual, scale = eliminate_outside(rows, inner)
-            action.mark_orbit(
-                t, etas, base - pivots - rank_division_free(residual) + 1)
+            next(orbits)
         attains = attaining is not None and all(
             (t & mask).bit_count() & 1 == odd for mask, odd in attaining)
         yield t, etas[t] - 1, attains
@@ -481,12 +524,17 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
     """Add all signature representatives of one underlying graph to
     ``report``; return their JSON lines with ``emit``, else ``""``.
 
-    The bounds are computed once per graph; each signature adds its
-    nullity and, on a connected graph, the upper-bound predicate. A row
-    dict is built only for a class that breaks a law or disagrees with the
-    predicate. An emitted line is ``_dump_line`` of the class's row: the
-    row is dumped once per graph with placeholders, and each class fills
-    in its ``eta``, ``s`` and negative cotree edges.
+    The bounds are computed once per graph. In report mode, where no class
+    can attain the upper bound (see :func:`_attaining`), each orbit of
+    :func:`_orbits` adds its size to the counts of its eta; an orbit that
+    breaks a law or reaches the upper bound of a connected graph makes the
+    graph rescan per class, so each class gets its own row. Otherwise each
+    class of :func:`_classes` adds its nullity and, on a connected graph,
+    the upper-bound predicate. A row dict is built only for a class that
+    breaks a law or disagrees with the predicate. An emitted line is
+    ``_dump_line`` of the class's row: the row is dumped once per graph
+    with placeholders, and each class fills in its ``eta``, ``s`` and
+    negative cotree edges.
     """
     n, m, c = g.n, matching_number(g), cycle_space_dim(g)
     lower, upper = _bounds(n, m, c)
@@ -495,6 +543,21 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
     connected = is_connected(g)
     by_s = report.histogram.setdefault((n, c), {})
     up = report.upper_check
+    report.totals["graphs"] += 1
+    report.totals["signatures"] += 1 << c
+    up["tested" if connected else "skipped_disconnected"] += 1 << c
+    if not emit and _attaining(g, cotree) is None:
+        counts: dict[int, int] = {}
+        for _, eta, size in _orbits(g, _eta_table(g)):
+            if _broken_laws(eta, lower, upper) or (connected and eta == upper):
+                break
+            counts[upper - eta] = counts.get(upper - eta, 0) + size
+        else:
+            for s, size in counts.items():
+                by_s[s] = by_s.get(s, 0) + size
+            if connected:  # the predicate is False, and so is eta == upper
+                up["agreements"] += 1 << c
+            return ""
     lines: list[str] = []
     if emit:
         # the row dumped with placeholders, as format strings whose fields
@@ -532,9 +595,6 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
             report.violations.extend({"kind": kind, **row} for kind in broken)
             if not agrees:
                 up["disagreements"].append({"predicate": predicate, **row})
-    report.totals["graphs"] += 1
-    report.totals["signatures"] += 1 << c
-    up["tested" if connected else "skipped_disconnected"] += 1 << c
     return "".join(lines)
 
 

@@ -167,14 +167,25 @@ WRONG_NULLITY = {(2, 1, 0): -1, (3, 2, 0): 3, (3, 3, 0): 3}
 def wrong_nullity(monkeypatch):
     """Make the campaign see ``WRONG_NULLITY`` instead of the true values.
 
-    The scan reads every class's nullity from ``theorems._classes(g)``; a
-    class is its pattern, whose set bits are its negative edges.
+    The scan reads each class's nullity from ``theorems._classes(g)``, and
+    in report mode each orbit's from ``theorems._orbits(g, etas)``, which
+    yields the orbit's least pattern; a class is its pattern, whose set
+    bits are its negative edges. Both are wrapped. The table ``_orbits``
+    fills keeps the true values, and ``_classes`` reads it, so the wrong
+    values reach ``_classes`` through its own wrapper only.
     """
-    real_classes = snlab.theorems._classes
+    real_classes, real_orbits = snlab.theorems._classes, snlab.theorems._orbits
+
+    def wrong(g, pattern, eta):
+        return WRONG_NULLITY.get((g.n, len(g.edges), pattern.bit_count()), eta)
 
     def classes(g):
         for pattern, eta, attains in real_classes(g):
-            key = (g.n, len(g.edges), pattern.bit_count())
-            yield pattern, WRONG_NULLITY.get(key, eta), attains
+            yield pattern, wrong(g, pattern, eta), attains
+
+    def orbits(g, etas):
+        for pattern, eta, size in real_orbits(g, etas):
+            yield pattern, wrong(g, pattern, eta), size
 
     monkeypatch.setattr(snlab.theorems, "_classes", classes)
+    monkeypatch.setattr(snlab.theorems, "_orbits", orbits)

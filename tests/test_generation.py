@@ -252,21 +252,35 @@ class TestAutomorphismGroup:
 class TestConnectedCatalog:
     def test_canonical_forms_once_per_child_orbit(self, monkeypatch):
         """Children whose neighbour sets share an orbit of the parent's
-        group are isomorphic, so one form per orbit is computed: 388 for
-        n <= 6, against 759 children. Each level is rebuilt through the
+        group are isomorphic, so one child per orbit is visited (388 for
+        n <= 6, against 759 children), and a visited child whose new vertex
+        is outranked by a non-cut vertex is skipped, so 144 forms are
+        computed for the 143 graphs. Each level is rebuilt through the
         uncached function, with the cached levels below as parents."""
+        catalogs = [tuple(enumerate_connected(n)) for n in range(1, 7)]
         calls = []
-        real = snlab.generation.canonical_form
+        real = snlab.generation._canonical_form
 
-        def counting(g):
-            calls.append(g)
-            return real(g)
+        def counting(masks):
+            calls.append(masks)
+            return real(masks)
 
-        monkeypatch.setattr(snlab.generation, "canonical_form", counting)
-        for n in range(1, 7):
-            built = snlab.generation._connected_catalog.__wrapped__(n, None)
-            assert built == tuple(enumerate_connected(n))
-        assert len(calls) == 388
+        monkeypatch.setattr(snlab.generation, "_canonical_form", counting)
+        for n, catalog in enumerate(catalogs, 1):
+            assert snlab.generation._connected_catalog.__wrapped__(
+                n, None) == catalog
+        assert len(calls) == 144 >= sum(map(len, catalogs)) == 143
+
+    def test_capped_catalogs_are_the_full_catalog_filtered(self):
+        """The filter keeps a child built from the parent left by deleting a
+        non-cut vertex of greatest key; that deletion never raises the
+        cycle-space dimension, so each capped catalog is complete."""
+        for n in range(1, 8):
+            full = snlab.generation._connected_catalog(n, None)
+            for max_c in range(4):
+                assert snlab.generation._connected_catalog.__wrapped__(
+                    n, max_c) == tuple(g for g in full
+                                       if cycle_space_dim(g) <= max_c)
 
     def test_counts_match_orbit_counting(self):
         for n in range(1, 6):

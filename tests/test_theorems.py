@@ -50,12 +50,12 @@ from snlab import (
 )
 from conftest import (WRONG_NULLITY, complete_bipartite, cube, petersen,
                       signed_sweep)
-from snlab.balance import cotree_edges, is_balanced
+from snlab.balance import cotree_edges, cycle_sign, is_balanced
 from snlab.cli import _dump_line
 from snlab.formats import graph6_decode
 from snlab.generation import enumerate_connected, enumerate_signatures
-from snlab.graphs import is_connected
-from snlab.theorems import _classes
+from snlab.graphs import fundamental_cycle, is_connected
+from snlab.theorems import _classes, _eta_table, _orbits, _pattern_action
 
 
 @pytest.fixture
@@ -103,6 +103,23 @@ def row_of(sg: SignedGraph, **wrong) -> dict:
     rec["s"] = rec["upper"] - rec["eta"]
     return {"graph6": graph6_encode(sg.graph),
             "negatives": [list(e) for e in sg.negative_edges()], **rec}
+
+
+def symmetric_graphs() -> list[Graph]:
+    """Graphs with large automorphism groups; the last one's group swaps
+    its two components."""
+    wheel = Graph(7, cycle_graph(6).edges | {(v, 6) for v in range(6)})
+    chorded = Graph(8, cycle_graph(8).edges | {(v, v + 4) for v in range(4)})
+    return [cube(), petersen(), complete_bipartite(3, 3),
+            complete_bipartite(4, 4), wheel, chorded,
+            disjoint_union(complete_graph(4), complete_graph(4))]
+
+
+def pattern_of(sg: SignedGraph) -> int:
+    """The pattern of ``sg``'s switching class: the bits of the cotree
+    edges whose fundamental cycles are negative."""
+    return sum(1 << i for i, (u, v) in enumerate(cotree_edges(sg.graph))
+               if cycle_sign(sg, fundamental_cycle(sg.graph, u, v)) == -1)
 
 
 def square_with_tail() -> Graph:
@@ -450,7 +467,7 @@ class TestGapScan:
         assert report.clean
 
     def test_emit_all_records(self):
-        report, chunks = scan_emitting(4)
+        report, chunks = scan_emitting(6)
         lines = "".join(chunks).splitlines()
         assert len(lines) == report.totals["signatures"]
         sample = json.loads(lines[0])
@@ -458,10 +475,26 @@ class TestGapScan:
                     "balanced", "lower", "upper", "s"):
             assert key in sample
         assert report.config["emit_all"] is True
-        plain = gap_scan(4)
+        plain = gap_scan(6)
         assert plain.config["emit_all"] is False
         assert plain.to_json_dict() == {**report.to_json_dict(),
                                         "config": plain.config}
+
+    @pytest.mark.parametrize("faults", ["none", "wrong_nullity"])
+    def test_report_per_orbit_equals_per_class(self, faults, request):
+        """Report mode counts per orbit, emit mode per class; on symmetric
+        graphs, and when wrong values make report mode rescan a graph per
+        class, the reports still agree."""
+        if faults == "wrong_nullity":
+            request.getfixturevalue("wrong_nullity")
+            source, n_max = None, 4
+        else:
+            source, n_max = symmetric_graphs(), 10
+        per_class, _ = scan_emitting(n_max, source=source)
+        per_orbit = gap_scan(n_max, source=source)
+        assert per_orbit.to_json_dict() == {**per_class.to_json_dict(),
+                                            "config": per_orbit.config}
+        assert per_orbit.clean == (faults == "none")
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -588,14 +621,50 @@ class TestClassScan:
 
     def test_symmetric_graphs(self):
         """Large automorphism groups, so most classes take their nullity
-        from an earlier class of their orbit; the last graph's group swaps
-        its two components."""
-        wheel = Graph(7, cycle_graph(6).edges | {(v, 6) for v in range(6)})
-        chorded = Graph(8, cycle_graph(8).edges | {(v, v + 4) for v in range(4)})
-        for g in (cube(), petersen(), complete_bipartite(3, 3),
-                  complete_bipartite(4, 4), wheel, chorded,
-                  disjoint_union(complete_graph(4), complete_graph(4))):
+        from an earlier class of their orbit."""
+        for g in symmetric_graphs():
             self.assert_matches_reference(g)
+
+    def test_pattern_action_against_relabeled_signings(self, graphs_upto_6):
+        """Each generator's image of each class with one negative cotree
+        edge is the pattern of the signing with that edge's image negative,
+        read off the fundamental cycles' signs."""
+        for g in graphs_upto_6 + symmetric_graphs():
+            cotree = cotree_edges(g)
+            action = _pattern_action(g, cotree)
+            gens = g.automorphisms if len(cotree) >= 5 else ()
+            assert len(action.maps) == len(gens)
+            third = (1 << action.w) - 1
+            for p, (t0, t1, t2) in zip(gens, action.maps):
+                for j, (u, v) in enumerate(cotree):
+                    x = 1 << j
+                    image = t0[x & third] ^ t1[x >> action.w & third] ^ \
+                        t2[x >> 2 * action.w]
+                    relabeled = SignedGraph(g, {tuple(sorted((p[u], p[v])))})
+                    assert image == pattern_of(relabeled)
+
+    def test_negation_keeps_nullity(self, graphs_upto_6):
+        """Negating every sign gives the class ``t ^ odd``, ``odd`` the bits
+        of the odd fundamental cycles, and keeps the Bareiss nullity."""
+        for g in graphs_upto_6:
+            cotree = cotree_edges(g)
+            odd = sum(1 << i for i, (u, v) in enumerate(cotree)
+                      if len(fundamental_cycle(g, u, v)) % 2)
+            etas = []
+            for sg in enumerate_signatures(g):
+                negated = SignedGraph(g, g.edges - sg.negatives)
+                assert pattern_of(negated) == pattern_of(sg) ^ odd
+                etas.append(nullity(sg))
+            assert all(etas[t] == etas[t ^ odd] for t in range(len(etas)))
+
+    def test_ranks_of_complete_graphs(self):
+        """One class is ranked per orbit of the automorphisms and negation,
+        and the orbits cover every class."""
+        for n, ranks in ((5, 4), (6, 10), (7, 27), (8, 131)):
+            g = complete_graph(n)
+            orbits = list(_orbits(g, _eta_table(g)))
+            assert len(orbits) == ranks
+            assert sum(size for _, _, size in orbits) == 1 << cycle_space_dim(g)
 
     def test_cores_above_8(self):
         rng = random.Random(12)
