@@ -7,35 +7,29 @@ unicyclic trichotomy, the slack-realizing block family) by exhaustive
 enumeration at small orders.
 """
 
-from .balance import (BalanceResult, canonical_signature, cycle_sign, is_balanced,
-                      spanning_forest, switch)
+from .balance import BalanceResult, canonical_signature, cycle_sign, is_balanced, switch
 from .errors import CapacityError, ParseError, StructureError, TheoremViolation
 from .formats import (graph6_decode, graph6_encode, read_graph6, read_sgl,
                       sgl_dumps, sgl_loads, write_graph6, write_sgl)
 from .generation import (CAPACITY_OVERRIDE_ENV, ENUMERATION_VERTEX_CAP,
-                         automorphism_generators, canonical_form, canonical_graph,
-                         count_switching_classes, effective_vertex_cap,
+                         automorphism_generators, canonical_form, effective_vertex_cap,
                          enumerate_connected, enumerate_signatures)
-from .graphs import (ContractionTree, Cycle, Graph, PendantType, SignedGraph,
-                     complete_graph, connected_components, contract_cycles,
-                     cotree_edges, cycle_graph, cycle_space_dim,
-                     cycles_pairwise_vertex_disjoint, delete_vertices, disjoint_union,
-                     girth, induced_subgraph, is_connected, num_components, path_graph,
-                     pendant_type, pendant_vertices, star_graph, vertices_on_cycles)
+from .graphs import (ContractionTree, Cycle, Graph, SignedGraph, complete_graph,
+                     connected_components, contract_cycles, cotree_edges, cycle_graph,
+                     cycle_space_dim, cycles_pairwise_vertex_disjoint, delete_vertices,
+                     disjoint_union, induced_subgraph, is_connected, num_components,
+                     path_graph, pendant_vertices, star_graph, vertices_on_cycles)
 from .linalg import (CHAR_POLY_VERTEX_CAP, SACHS_VERTEX_CAP, BasicSubgraph,
                      char_poly_exact, enumerate_basic_subgraphs, nullity,
                      rank_exact, sachs_coefficients, signed_adjacency,
                      zero_root_multiplicity)
 from .matching import (BRUTE_FORCE_EDGE_CAP, Matching, MatchingSets,
-                       brute_force_max_matching, count_maximum_matchings,
-                       enumerate_maximum_matchings,
+                       brute_force_max_matching, enumerate_maximum_matchings,
                        even_cycle_matching_equivalence, matching_number,
-                       matching_sets, max_matching,
-                       odd_cycle_matching_equivalence, unique_cycle)
+                       matching_sets, odd_cycle_matching_equivalence, unique_cycle)
 from .theorems import (CampaignReport, FamilyParams, FamilyPrediction,
-                       InvariantRecord, ReductionResult, ReductionStep,
-                       attains_upper, classify_unicyclic, family_prediction,
-                       gap_scan, generate_family, invariant_record,
-                       pendant_reduction, slack_coverage, unicyclic_case)
+                       InvariantRecord, attains_upper, classify_unicyclic,
+                       family_prediction, gap_scan, generate_family,
+                       invariant_record, slack_coverage, unicyclic_case)
 
 __version__ = "0.1.0"

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import (Cycle, Edge, Graph, SignedGraph, cotree_edges,
-                     fundamental_cycle, is_cycle_of)
+from .graphs import (Cycle, SignedGraph, cotree_edges, fundamental_cycle,
+                     is_cycle_of)
 
 
 def cycle_sign(sg: SignedGraph, c: Cycle) -> int:
@@ -36,20 +36,6 @@ def switch(sg: SignedGraph, flip: Iterable[int]) -> SignedGraph:
     cut = frozenset((u, v) for u, v in sg.graph.edges
                     if (u in inside) != (v in inside))
     return SignedGraph(sg.graph, sg.negatives ^ cut)
-
-
-def spanning_forest(g: Graph) -> tuple[list[int], list[int], set[Edge]]:
-    """Canonical BFS spanning forest.
-
-    Roots are the smallest vertex of each component, neighbors are visited
-    in ascending order. Returns ``(parent, order, tree_edges)`` with
-    ``parent[root] == -1``: fresh containers built from the forest that
-    :class:`Graph` computes once.
-    """
-    parent, order = g._forest
-    tree = {(p, v) if p < v else (v, p)
-            for v, p in enumerate(parent) if p != -1}
-    return list(parent), list(order), tree
 
 
 @dataclass(frozen=True)

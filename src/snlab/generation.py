@@ -37,7 +37,7 @@ from itertools import combinations, product
 from typing import Iterator, Optional
 
 from .errors import CapacityError
-from .graphs import Graph, SignedGraph, cotree_edges, cycle_space_dim, girth
+from .graphs import Graph, SignedGraph, cotree_edges, cycle_space_dim
 
 ENUMERATION_VERTEX_CAP = 8
 CAPACITY_OVERRIDE_ENV = "SNLAB_CAPACITY_OVERRIDE"
@@ -125,11 +125,6 @@ def _canonical_form(masks: list[int]) -> tuple[int, int]:
                     picks.append((placed | 1 << v, cols | adj[v] << n - 1 - j))
         frontier, bits = picks, (bits << j) | best >> (n - j)
     return n, bits
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The representative of ``g``'s isomorphism class."""
-    return Graph.from_bits(*canonical_form(g))
 
 
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -235,12 +230,12 @@ class _LinearAction:
         self.maps = [tuple(_xor_table(u[i:i + w]) for i in (0, w, 2 * w))
                      for u in units]
 
-    def mark_orbit(self, x: int, marks, mark: int) -> int:
+    def mark_orbit(self, x: int, marks, mark: int) -> None:
         """Set ``marks[y] = mark`` on the orbit of ``x``, which is unmarked
-        (0) as a whole; return the orbit's size."""
+        (0) as a whole."""
         w, third = self.w, (1 << self.w) - 1
         marks[x] = mark
-        todo, size = [x], 1
+        todo = [x]
         while todo:
             x = todo.pop()
             for t0, t1, t2 in self.maps:
@@ -248,8 +243,6 @@ class _LinearAction:
                 if not marks[y]:
                     marks[y] = mark
                     todo.append(y)
-                    size += 1
-        return size
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +304,12 @@ def _connected_catalog(n: int, max_c: Optional[int]) -> tuple[Graph, ...]:
 
 def enumerate_connected(n: int, max_c: Optional[int] = None,
                         unicyclic_only: bool = False,
-                        min_girth: Optional[int] = None,
                         cap: Optional[int] = None) -> Iterator[Graph]:
     """Connected graphs on exactly ``n`` vertices, one per isomorphism
     class, in a fixed deterministic order.
 
     ``max_c`` bounds the cycle-space dimension, ``unicyclic_only`` keeps
-    dimension exactly 1, ``min_girth`` drops graphs with shorter cycles.
+    dimension exactly 1.
     ``n`` beyond the cap raises :class:`CapacityError`.
     """
     if n < 1:
@@ -329,10 +321,6 @@ def enumerate_connected(n: int, max_c: Optional[int] = None,
     for g in _connected_catalog(n, eff_max_c):
         if unicyclic_only and cycle_space_dim(g) != 1:
             continue
-        if min_girth is not None:
-            gi = girth(g)
-            if gi is not None and gi < min_girth:
-                continue
         yield g
 
 
@@ -348,7 +336,3 @@ def enumerate_signatures(g: Graph) -> Iterator[SignedGraph]:
     for pattern in range(1 << len(free)):
         yield SignedGraph(g, frozenset(
             e for i, e in enumerate(free) if (pattern >> i) & 1))
-
-
-def count_switching_classes(g: Graph) -> int:
-    return 1 << cycle_space_dim(g)

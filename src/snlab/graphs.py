@@ -8,8 +8,6 @@ and safe to share between workers; all operations are pure functions.
 
 from __future__ import annotations
 
-import enum
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -329,17 +327,6 @@ class ContractionTree:
     origin: tuple[Union[int, Cycle], ...]
 
 
-class PendantType(enum.Enum):
-    """Classification of a degree-1 vertex in a graph with a cycle.
-
-    TYPE_I: its unique neighbor lies on no cycle.
-    TYPE_II: its unique neighbor lies on some cycle.
-    """
-
-    TYPE_I = 1
-    TYPE_II = 2
-
-
 # ---------------------------------------------------------------------------
 # subgraphs and deletion
 
@@ -464,45 +451,6 @@ def contract_cycles(g: Graph) -> ContractionTree:
         raise StructureError("contraction did not produce an acyclic graph")
     cyclic = frozenset(i for i, p in enumerate(origin) if isinstance(p, Cycle))
     return ContractionTree(tree, cyclic, tuple(origin))
-
-
-def pendant_type(g, u: int) -> PendantType:
-    """Classify pendant vertex ``u`` by whether its neighbor is on a cycle.
-
-    Accepts a :class:`Graph` or :class:`SignedGraph`; the classification
-    depends only on the underlying graph. The graph must contain a cycle.
-    """
-    base = g.graph if isinstance(g, SignedGraph) else g
-    if base.degree(u) != 1:
-        raise ValueError(f"vertex {u} is not pendant (degree {base.degree(u)})")
-    cyclic = vertices_on_cycles(base)
-    if not cyclic:
-        raise ValueError("pendant classification needs at least one cycle")
-    (v,) = base.neighbors(u)
-    return PendantType.TYPE_II if v in cyclic else PendantType.TYPE_I
-
-
-def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or None for a forest."""
-    best: int | None = None
-    for src in range(g.n):
-        dist = {src: 0}
-        par = {src: -1}
-        q = deque([src])
-        while q:
-            v = q.popleft()
-            if best is not None and dist[v] * 2 >= best:
-                continue
-            for w in g.neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    par[w] = v
-                    q.append(w)
-                elif par[v] != w:
-                    cand = dist[v] + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
-    return best
 
 
 # ---------------------------------------------------------------------------

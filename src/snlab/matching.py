@@ -1,4 +1,4 @@
-"""Maximum matchings: blossom algorithm, brute-force oracle, counting.
+"""Maximum matchings: the blossom algorithm and a brute-force oracle.
 
 Two independent routes to the matching number are kept on purpose. The
 fast path strips pendant pairs and runs the blossom algorithm on the
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import CapacityError, StructureError
 from .graphs import (Cycle, Edge, Graph, _strip_pendants, contract_cycles,
                      cycle_space_dim, cycles_pairwise_vertex_disjoint,
-                     delete_vertices, induced_subgraph, is_connected)
+                     delete_vertices, is_connected)
 
 BRUTE_FORCE_EDGE_CAP = 24
 
@@ -143,30 +143,6 @@ def matching_number(g: Graph) -> int:
     return stripped + sum(1 for v in _blossom_pairs(core) if v != -1) // 2
 
 
-def max_matching(g: Graph) -> Matching:
-    """The canonical (lexicographically least) maximum matching.
-
-    Built by committing edges in sorted order whenever a maximum matching
-    through the committed set still exists; each feasibility probe is one
-    blossom run on the residual graph.
-    """
-    target = matching_number(g)
-    chosen: list[Edge] = []
-    used: set[int] = set()
-    for u, v in g.sorted_edges():
-        if len(chosen) == target:
-            break
-        if u in used or v in used:
-            continue
-        rest = set(range(g.n)) - used - {u, v}
-        sub, _ = induced_subgraph(g, rest)
-        if matching_number(sub) >= target - len(chosen) - 1:
-            chosen.append((u, v))
-            used.add(u)
-            used.add(v)
-    return Matching(tuple(chosen))
-
-
 # ---------------------------------------------------------------------------
 # brute force (oracle path)
 
@@ -204,11 +180,6 @@ def _check_brute_cap(g: Graph) -> None:
 def brute_force_max_matching(g: Graph) -> Matching:
     """Exhaustive maximum matching; independent of the blossom code."""
     return Matching(enumerate_maximum_matchings(g)[0])
-
-
-def count_maximum_matchings(g: Graph) -> int:
-    """Number of maximum matchings, by exhaustive enumeration."""
-    return len(enumerate_maximum_matchings(g))
 
 
 def enumerate_maximum_matchings(g: Graph) -> list[tuple[Edge, ...]]:

@@ -19,15 +19,14 @@ import json
 import multiprocessing
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .balance import cycle_sign, is_balanced
 from .errors import TheoremViolation
 from .formats import graph6_encode, sgl_dumps
 from .generation import _LinearAction, check_vertex_cap, enumerate_connected
-from .graphs import (Cycle, Edge, Graph, PendantType, SignedGraph, cotree_edges,
-                     cycle_space_dim, cycles_pairwise_vertex_disjoint, delete_vertices,
-                     is_connected, vertices_on_cycles)
+from .graphs import (Cycle, Edge, Graph, SignedGraph, cotree_edges, cycle_space_dim,
+                     cycles_pairwise_vertex_disjoint, is_connected)
 from .linalg import eliminate_outside, nullity, rank_division_free
 from .matching import contraction_matched, matching_number
 
@@ -146,67 +145,6 @@ def classify_unicyclic(sg: SignedGraph) -> int:
 def unicyclic_case(offset: int) -> int:
     """Case number 1/2/3 for offsets -1/+2/0."""
     return {-1: 1, 2: 2, 0: 3}[offset]
-
-
-# ---------------------------------------------------------------------------
-# pendant reduction
-
-@dataclass(frozen=True)
-class ReductionStep:
-    """One removal of a pendant vertex and its neighbor, original labels.
-
-    ``kind`` is None when the graph had no cycle at that step (so the
-    Type I / Type II split does not apply).
-    """
-
-    pendant: int
-    neighbor: int
-    kind: Optional[PendantType]
-
-
-@dataclass(frozen=True)
-class ReductionResult:
-    """Pendant-free remainder plus the trace of removals.
-
-    ``vertex_origin[i]`` is the original label of the reduced graph's
-    vertex ``i``. Removing a pendant vertex together with its neighbor
-    never changes the nullity, so eta(reduced) = eta(input).
-    """
-
-    reduced: SignedGraph
-    steps: tuple[ReductionStep, ...]
-    vertex_origin: tuple[int, ...]
-
-
-def pendant_reduction(sg: SignedGraph) -> ReductionResult:
-    """Strip pendant vertices pairwise with their neighbors.
-
-    Pendants whose neighbor is off every cycle go first (their removal also
-    preserves the slack); ties break on the lowest current label.
-    """
-    current = sg
-    to_orig = list(range(sg.n))
-    steps: list[ReductionStep] = []
-    while True:
-        g = current.graph
-        pendants = [v for v in range(g.n) if g.degree(v) == 1]
-        if not pendants:
-            break
-        cyclic = vertices_on_cycles(g)
-
-        def kind_of(u: int) -> Optional[PendantType]:
-            if not cyclic:
-                return None
-            (w,) = g.neighbors(u)
-            return PendantType.TYPE_II if w in cyclic else PendantType.TYPE_I
-
-        u = next((p for p in pendants if kind_of(p) is not PendantType.TYPE_II),
-                 pendants[0])
-        (v,) = g.neighbors(u)
-        steps.append(ReductionStep(to_orig[u], to_orig[v], kind_of(u)))
-        current, relabel = delete_vertices(current, [u, v])
-        to_orig = [to_orig[old] for old in sorted(relabel)]
-    return ReductionResult(current, tuple(steps), tuple(to_orig))
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +328,16 @@ def _pattern_action(g: Graph, cotree: list[Edge]) -> _LinearAction:
                            for u, v in cotree] for p in gens])
 
 
-def _attaining(g: Graph, cotree: list[Edge]
-               ) -> Optional[tuple[tuple[int, bool], ...]]:
-    """``(cotree mask, wanted parity)`` per cycle of ``g`` when some class
-    can attain the upper bound, else None.
+def _attaining(g: Graph, cotree: list[Edge]) -> Optional[int]:
+    """The pattern of the one class of ``g`` that attains the upper bound,
+    or None when no class can.
 
-    On a connected graph whose cycles are disjoint and whose contraction
-    tree is matched, a class attains iff each cycle has the sign
-    :func:`_attaining_sign` asks, which an odd cycle never has; forest
-    edges are positive, so the sign of a cycle is the parity of the
-    pattern bits of its cotree edges.
+    A class attains iff ``g`` is connected, its cycles are disjoint, its
+    contraction tree is matched and each cycle has the sign
+    :func:`_attaining_sign` asks, which an odd cycle never has (He et al.,
+    LAA 572, 2019). Disjoint cycles each hold exactly one cotree edge, and
+    forest edges are positive, so a cycle's sign is its edge's bit: the
+    pattern has the bits of the cycles that need sign -1.
     """
     disjoint, cycles = (cycles_pairwise_vertex_disjoint(g) if is_connected(g)
                         else (False, None))
@@ -409,21 +347,14 @@ def _attaining(g: Graph, cotree: list[Edge]
     if None in wanted or not contraction_matched(g):
         return None
     bit = {e: 1 << i for i, e in enumerate(cotree)}
-    return tuple((sum(bit.get(e, 0) for e in cyc.edge_list()), sign == -1)
-                 for cyc, sign in zip(cycles, wanted))
+    return sum(bit.get(e, 0) for cyc, sign in zip(cycles, wanted) if sign == -1
+               for e in cyc.edge_list())
 
 
-def _eta_table(g: Graph):
-    """A zeroed table for :func:`_orbits`: one entry per pattern of ``g``
-    and a last one that stays 0."""
-    size = (1 << cycle_space_dim(g)) + 1
-    return bytearray(size) if g.n < 255 else array("L", [0]) * size
-
-
-def _orbits(g: Graph, etas) -> Iterator[tuple[int, int, int]]:
-    """``(pattern, eta, size)`` for the least pattern of each orbit of the
-    switching classes of ``g``, in pattern order; sets ``etas[t] = eta + 1``
-    on the orbit. ``etas`` is a zeroed :func:`_eta_table`.
+def _etas(g: Graph):
+    """``eta + 1`` for each switching class of ``g``, indexed by its
+    pattern, then a sentinel 0: a bytearray, or an ``array("L")`` from 255
+    vertices on.
 
     Pattern ``t`` stands for the class whose negative edges are the cotree
     edges ``cotree_edges(g)[i]`` of the set bits ``i`` of ``t``, the
@@ -443,13 +374,16 @@ def _orbits(g: Graph, etas) -> Iterator[tuple[int, int, int]]:
 
     Automorphisms of ``g`` and negation (``A(G, -sigma) = -A(G, sigma)``)
     keep the nullity, so only the least pattern of each orbit under both is
-    ranked, the next one being the next pattern whose entry is still 0. Its
-    eta goes to its orbit under ``g.automorphisms`` (from five cotree edges
-    on, see :func:`_pattern_action`) and to that of its negation ``t ^
-    odd``: ``odd`` has the bits of the odd fundamental cycles, the cotree
-    edges whose ends have depths of equal parity in the forest.
+    ranked, the next one being the next pattern whose entry is still 0 (the
+    sentinel ends the search). Its eta goes to its orbit under
+    ``g.automorphisms`` (from five cotree edges on, see
+    :func:`_pattern_action`) and to that of its negation ``t ^ odd``:
+    ``odd`` has the bits of the odd fundamental cycles, the cotree edges
+    whose ends have depths of equal parity in the forest.
     """
     cotree = cotree_edges(g)
+    size = (1 << len(cotree)) + 1
+    etas = bytearray(size) if g.n < 255 else array("L", [0]) * size
     pos, k, isolated = g.pendant_core
     rows = [[0] * k for _ in range(k)]
     for u, v in g.edges:
@@ -477,7 +411,7 @@ def _orbits(g: Graph, etas) -> Iterator[tuple[int, int, int]]:
               if (depth[u] ^ depth[v]) & 1 == 0)
     done = -1  # the last block whose core is eliminated outside inner
     t = last = 0
-    while t < 1 << len(cotree):
+    while t < size - 1:
         flips = t ^ last
         while flips:
             i = (flips & -flips).bit_length() - 1
@@ -493,71 +427,59 @@ def _orbits(g: Graph, etas) -> Iterator[tuple[int, int, int]]:
             done = t >> low
             pivots, residual, scale = eliminate_outside(rows, inner)
         eta = base - pivots - rank_division_free(residual)
-        size = action.mark_orbit(t, etas, eta + 1)
+        action.mark_orbit(t, etas, eta + 1)
         if not etas[t ^ odd]:
-            size += action.mark_orbit(t ^ odd, etas, eta + 1)
-        yield t, eta, size
+            action.mark_orbit(t ^ odd, etas, eta + 1)
         t, last = etas.index(0, t + 1), t
-
-
-def _classes(g: Graph) -> Iterator[tuple[int, int, bool]]:
-    """``(pattern, eta, attains)`` for every switching class of ``g``, in
-    pattern order; ``attains`` is :func:`attains_upper` (False on a
-    disconnected graph), balance is ``pattern == 0``.
-
-    A pattern whose eta is not yet in the table is the least of its orbit,
-    so :func:`_orbits` ranks it next; every other pattern reads the table.
-    ``attains`` is a parity test per cycle (see :func:`_attaining`).
-    """
-    etas = _eta_table(g)
-    orbits = _orbits(g, etas)
-    attaining = _attaining(g, cotree_edges(g))
-    for t in range(len(etas) - 1):
-        if not etas[t]:
-            next(orbits)
-        attains = attaining is not None and all(
-            (t & mask).bit_count() & 1 == odd for mask, odd in attaining)
-        yield t, etas[t] - 1, attains
+    return etas
 
 
 def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
-    """Add all signature representatives of one underlying graph to
-    ``report``; return their JSON lines with ``emit``, else ``""``.
+    """Add all switching classes of one underlying graph to ``report``;
+    return their JSON lines with ``emit``, else ``""``.
 
-    The bounds are computed once per graph. In report mode, where no class
-    can attain the upper bound (see :func:`_attaining`), each orbit of
-    :func:`_orbits` adds its size to the counts of its eta; an orbit that
-    breaks a law or reaches the upper bound of a connected graph makes the
-    graph rescan per class, so each class gets its own row. Otherwise each
-    class of :func:`_classes` adds its nullity and, on a connected graph,
-    the upper-bound predicate. A row dict is built only for a class that
-    breaks a law or disagrees with the predicate. An emitted line is
-    ``_dump_line`` of the class's row: the row is dumped once per graph
-    with placeholders, and each class fills in its ``eta``, ``s`` and
-    negative cotree edges.
+    The bounds are computed once per graph and the nullities once in
+    :func:`_etas`' table. The histogram counts each distinct value of the
+    table at once. At most one class can attain the upper bound (see
+    :func:`_attaining`), so on a connected graph the predicate agrees with
+    ``eta == upper`` on every class whose eta is not the upper bound, but
+    the attaining one, where it agrees iff its eta is. The classes are
+    walked in pattern order only to emit their lines, or when a count
+    shows a broken law or a disagreement, to give each such class its row.
+    An emitted line is ``_dump_line`` of the class's row: the row is
+    dumped once per graph with placeholders, and each class fills in its
+    ``eta``, ``s`` and negative cotree edges.
     """
     n, m, c = g.n, matching_number(g), cycle_space_dim(g)
     lower, upper = _bounds(n, m, c)
-    g6 = graph6_encode(g)
     cotree = cotree_edges(g)
     connected = is_connected(g)
+    total = 1 << c
+    # None on a disconnected graph. Found before the table is built: the
+    # other order raised verify --n-max 8's peak RSS from 61.0 to 62.8 MB
+    # (2-core Xeon, Python 3.11)
+    attaining = _attaining(g, cotree)
+    etas = _etas(g)
+    counts = {v: etas.count(v) for v in set(etas)}
+    counts[0] -= 1  # the sentinel
     by_s = report.histogram.setdefault((n, c), {})
-    up = report.upper_check
+    for v, k in counts.items():
+        if k:
+            by_s[upper + 1 - v] = by_s.get(upper + 1 - v, 0) + k
     report.totals["graphs"] += 1
-    report.totals["signatures"] += 1 << c
-    up["tested" if connected else "skipped_disconnected"] += 1 << c
-    if not emit and _attaining(g, cotree) is None:
-        counts: dict[int, int] = {}
-        for _, eta, size in _orbits(g, _eta_table(g)):
-            if _broken_laws(eta, lower, upper) or (connected and eta == upper):
-                break
-            counts[upper - eta] = counts.get(upper - eta, 0) + size
-        else:
-            for s, size in counts.items():
-                by_s[s] = by_s.get(s, 0) + size
-            if connected:  # the predicate is False, and so is eta == upper
-                up["agreements"] += 1 << c
-            return ""
+    report.totals["signatures"] += total
+    up = report.upper_check
+    up["tested" if connected else "skipped_disconnected"] += total
+    agreements = total - counts.get(upper + 1, 0)
+    if attaining is not None:
+        agreements += 1 if etas[attaining] == upper + 1 else -1
+    if connected:
+        up["predicate_true"] += attaining is not None
+        up["agreements"] += agreements
+    bad = {v - 1 for v, k in counts.items() if k and _broken_laws(v - 1, lower, upper)}
+    if not (emit or bad or (connected and agreements < total)):
+        return ""
+    g6 = graph6_encode(g)
     lines: list[str] = []
     if emit:
         # the row dumped with placeholders, as format strings whose fields
@@ -574,26 +496,24 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
         templates = [line.replace(json.dumps("\0balanced"), json.dumps(b)) + "\n"
                      for b in (False, True)]
         pieces = [f"[{u},{v}]" for u, v in cotree]
-    for t, eta, predicate in _classes(g):
+    for t in range(total):
+        eta = etas[t] - 1
         s = upper - eta
-        by_s[s] = by_s.get(s, 0) + 1
-        broken = _broken_laws(eta, lower, upper)
-        agrees = not connected or predicate == (eta == upper)
-        if connected:
-            up["predicate_true"] += predicate
-            up["agreements"] += agrees
         if emit:
             negatives = ",".join([p for i, p in enumerate(pieces) if t >> i & 1])
             lines.append(templates[t == 0].format(eta, s, negatives))
-        if broken or not agrees:
+        predicate = t == attaining
+        disagrees = connected and predicate != (eta == upper)
+        if eta in bad or disagrees:
             rec = InvariantRecord(n=n, m=m, c=c, eta=eta, balanced=t == 0,
                                   lower=lower, upper=upper, s=s)
             row = {"graph6": g6,
                    "negatives": [list(e) for i, e in enumerate(cotree)
                                  if t >> i & 1],
                    **rec.to_json_dict()}
-            report.violations.extend({"kind": kind, **row} for kind in broken)
-            if not agrees:
+            report.violations.extend({"kind": kind, **row}
+                                     for kind in _broken_laws(eta, lower, upper))
+            if disagrees:
                 up["disagreements"].append({"predicate": predicate, **row})
     return "".join(lines)
 

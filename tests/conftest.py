@@ -167,25 +167,20 @@ WRONG_NULLITY = {(2, 1, 0): -1, (3, 2, 0): 3, (3, 3, 0): 3}
 def wrong_nullity(monkeypatch):
     """Make the campaign see ``WRONG_NULLITY`` instead of the true values.
 
-    The scan reads each class's nullity from ``theorems._classes(g)``, and
-    in report mode each orbit's from ``theorems._orbits(g, etas)``, which
-    yields the orbit's least pattern; a class is its pattern, whose set
-    bits are its negative edges. Both are wrapped. The table ``_orbits``
-    fills keeps the true values, and ``_classes`` reads it, so the wrong
-    values reach ``_classes`` through its own wrapper only.
+    The scan reads every class's nullity from the table
+    ``theorems._etas(g)`` returns, ``eta + 1`` at the class's pattern,
+    whose set bits are its negative edges, then a sentinel 0. The wrapper
+    writes the wrong values into that table, class by class; the sentinel
+    is left as it is.
     """
-    real_classes, real_orbits = snlab.theorems._classes, snlab.theorems._orbits
+    real_etas = snlab.theorems._etas
 
-    def wrong(g, pattern, eta):
-        return WRONG_NULLITY.get((g.n, len(g.edges), pattern.bit_count()), eta)
+    def etas(g):
+        table = real_etas(g)
+        for pattern in range(len(table) - 1):
+            key = (g.n, len(g.edges), pattern.bit_count())
+            if key in WRONG_NULLITY:
+                table[pattern] = WRONG_NULLITY[key] + 1
+        return table
 
-    def classes(g):
-        for pattern, eta, attains in real_classes(g):
-            yield pattern, wrong(g, pattern, eta), attains
-
-    def orbits(g, etas):
-        for pattern, eta, size in real_orbits(g, etas):
-            yield pattern, wrong(g, pattern, eta), size
-
-    monkeypatch.setattr(snlab.theorems, "_classes", classes)
-    monkeypatch.setattr(snlab.theorems, "_orbits", orbits)
+    monkeypatch.setattr(snlab.theorems, "_etas", etas)

@@ -26,7 +26,6 @@ from snlab import (
     nullity,
     path_graph,
     signed_adjacency,
-    spanning_forest,
     switch,
 )
 from conftest import connected_graphs_upto
@@ -125,33 +124,30 @@ class TestSwitch:
 
 
 class TestSpanningForest:
+    """The canonical BFS forest ``Graph._forest``, ``(parent, order)``, and
+    the cotree edges read off it."""
+
     def test_path(self):
-        parent, order, tree = spanning_forest(path_graph(4))
-        assert parent == [-1, 0, 1, 2]
-        assert order == [0, 1, 2, 3]
-        assert tree == {(0, 1), (1, 2), (2, 3)}
+        assert path_graph(4)._forest == ((-1, 0, 1, 2), (0, 1, 2, 3))
+        assert cotree_edges(path_graph(4)) == []
 
     def test_forest_size_and_cotree(self, graphs_upto_6):
         for g in graphs_upto_6:
-            _, order, tree = spanning_forest(g)
+            parent, order = g._forest
             assert sorted(order) == list(range(g.n))
-            assert len(tree) + cycle_space_dim(g) == len(g.edges)
+            tree = sum(p != -1 for p in parent)
+            assert tree + cycle_space_dim(g) == len(g.edges)
             assert len(cotree_edges(g)) == cycle_space_dim(g)
 
     def test_each_call_returns_fresh_containers(self):
         g = cycle_graph(5)
-        parent, order, tree = spanning_forest(g)
-        parent[0] = 4
-        order.append(9)
-        tree.clear()
         cotree_edges(g).append((0, 4))
-        assert spanning_forest(g) == ([-1, 0, 1, 4, 0], [0, 1, 4, 2, 3],
-                                      {(0, 1), (1, 2), (0, 4), (3, 4)})
+        assert g._forest == ((-1, 0, 1, 4, 0), (0, 1, 4, 2, 3))
         assert cotree_edges(g) == [(2, 3)]
 
     def test_deterministic(self):
         g = cycle_graph(5)
-        assert spanning_forest(g) == spanning_forest(g)
+        assert g._forest == Graph(5, g.edges)._forest
         # BFS from 0 reaches 1 and 4 first, so the farthest edge is left over
         assert cotree_edges(g) == [(2, 3)]
 

@@ -147,17 +147,17 @@ class TestVerifyCommand:
         """``--emit-all`` writes lines as chunks arrive; a campaign that
         fails part-way still leaves the earlier report as it was, and no
         partial file behind."""
-        real_classes, real_scan = snlab.theorems._classes, snlab.cli.gap_scan
-        seen, streamed = [], []
+        real_etas, real_scan = snlab.theorems._etas, snlab.cli.gap_scan
+        seen, streamed = [0], []
 
         # the four chunks of n <= 5 hold 11, 26, 49 and 130 classes, so
-        # the 41st class is in the third
+        # the graph that holds the 41st class is in the third
         def failing(g):
-            for item in real_classes(g):
-                if len(seen) == 40:
-                    raise RuntimeError("the scan failed part-way")
-                seen.append(item)
-                yield item
+            table = real_etas(g)
+            seen[0] += len(table) - 1
+            if seen[0] > 40:
+                raise RuntimeError("the scan failed part-way")
+            return table
 
         def spying(emit, **kwargs):
             def sink(text):
@@ -165,7 +165,7 @@ class TestVerifyCommand:
                 return emit(text)
             return real_scan(emit=sink, **kwargs)
 
-        monkeypatch.setattr(snlab.theorems, "_classes", failing)
+        monkeypatch.setattr(snlab.theorems, "_etas", failing)
         monkeypatch.setattr(snlab.cli, "gap_scan", spying)
         out = tmp_path / "r.jsonl"
         out.write_text("an earlier report\n")
@@ -181,9 +181,8 @@ class TestVerifyCommand:
         and leaves nothing else."""
         def failing(g):
             raise RuntimeError("the scan failed")
-            yield
 
-        monkeypatch.setattr(snlab.theorems, "_classes", failing)
+        monkeypatch.setattr(snlab.theorems, "_etas", failing)
         link, out = tmp_path / "link.json", tmp_path / "r.json"
         link.symlink_to(tmp_path / "target.json")
         for path in (out, link):

@@ -1,18 +1,18 @@
 """Structural graph operations: construction, deletion, cycles read off the
 spanning forest (checked against the block decomposition of the tests'
-conftest), contraction, pendant classification, girth."""
+conftest), contraction, pendant cores."""
 
 import itertools
 import random
 
 import pytest
 
-from snlab import (Cycle, Graph, PendantType, SignedGraph, complete_graph,
-                   connected_components, contract_cycles, cycle_graph,
-                   cycle_space_dim, cycles_pairwise_vertex_disjoint, delete_vertices,
-                   disjoint_union, girth, graph6_encode, induced_subgraph, is_connected,
-                   matching_number, num_components, path_graph, pendant_type,
-                   pendant_vertices, star_graph, vertices_on_cycles)
+from snlab import (Cycle, Graph, SignedGraph, complete_graph, connected_components,
+                   contract_cycles, cycle_graph, cycle_space_dim,
+                   cycles_pairwise_vertex_disjoint, delete_vertices, disjoint_union,
+                   graph6_encode, induced_subgraph, is_connected, matching_number,
+                   num_components, path_graph, pendant_vertices, star_graph,
+                   vertices_on_cycles)
 from snlab.errors import StructureError
 from snlab.graphs import is_cycle_of
 from snlab.matching import contraction_matched
@@ -309,6 +309,10 @@ def _assert_matches_blocks(g):
 
 
 class TestPendantCore:
+    def test_pendant_vertices(self):
+        assert pendant_vertices(star_graph(3)) == (1, 2, 3)
+        assert pendant_vertices(cycle_graph(4)) == ()
+
     def test_paths(self):
         # P4 is two pendant pairs; P5 leaves its last vertex isolated
         assert path_graph(4).pendant_core == ((-1,) * 4, 0, 0)
@@ -388,57 +392,6 @@ class TestContraction:
             orig = [v for o in t.origin
                     for v in (o.vertices if isinstance(o, Cycle) else (o,))]
             assert sorted(orig) == list(range(g.n))
-
-
-class TestPendantType:
-    def test_pendant_on_cycle_vertex(self):
-        g = Graph(4, frozenset([(0, 1), (0, 2), (1, 2), (0, 3)]))
-        assert pendant_type(g, 3) is PendantType.TYPE_II
-
-    def test_pendant_at_distance_two(self):
-        g = Graph(5, frozenset([(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)]))
-        assert pendant_type(g, 4) is PendantType.TYPE_I
-        assert pendant_type(SignedGraph.all_positive(g), 4) is PendantType.TYPE_I
-
-    def test_non_pendant_rejected(self):
-        with pytest.raises(ValueError):
-            pendant_type(cycle_graph(3), 0)
-
-    def test_acyclic_rejected(self):
-        with pytest.raises(ValueError):
-            pendant_type(path_graph(3), 0)
-
-    def test_pendant_vertices(self):
-        assert pendant_vertices(star_graph(3)) == (1, 2, 3)
-        assert pendant_vertices(cycle_graph(4)) == ()
-
-
-class TestGirth:
-    def test_forest_has_none(self):
-        assert girth(path_graph(6)) is None
-        assert girth(Graph(3, frozenset())) is None
-
-    def test_known_girths(self):
-        assert girth(cycle_graph(7)) == 7
-        assert girth(complete_graph(4)) == 3
-        assert girth(theta_graph()) == 3
-
-    def test_girth_against_brute_force(self):
-        for g in connected_graphs_upto(6):
-            shortest = None
-            for size in range(3, g.n + 1):
-                for vs in itertools.combinations(range(g.n), size):
-                    for perm in itertools.permutations(vs[1:]):
-                        walk = (vs[0],) + perm
-                        if all(g.has_edge(walk[i], walk[(i + 1) % size])
-                               for i in range(size)):
-                            shortest = size if shortest is None else min(shortest, size)
-                            break
-                    if shortest == size:
-                        break
-                if shortest is not None:
-                    break
-            assert girth(g) == shortest
 
 
 class TestCycleSpaceDeletion:

@@ -22,7 +22,6 @@ from snlab import (
     StructureError,
     brute_force_max_matching,
     complete_graph,
-    count_maximum_matchings,
     cycle_graph,
     delete_vertices,
     disjoint_union,
@@ -31,7 +30,6 @@ from snlab import (
     is_connected,
     matching_number,
     matching_sets,
-    max_matching,
     odd_cycle_matching_equivalence,
     path_graph,
     pendant_vertices,
@@ -148,47 +146,22 @@ class TestBlossomAgainstBruteForce:
         assert len(kinds) == 4 and min(kinds.values()) > 10
 
 
-class TestCanonicalMatching:
-    def test_lexicographic_agreement_exhaustive(self, graphs_upto_6):
-        for g in graphs_upto_6:
-            fast = max_matching(g)
-            slow = brute_force_max_matching(g)
-            assert fast.edges == slow.edges
-
-    def test_lexicographic_agreement_random(self):
-        rng = random.Random(7115)
-        checked = 0
-        while checked < 30:
-            g = random_graph(rng, rng.randrange(8, 12), 0.25)
-            if len(g.edges) > BRUTE_FORCE_EDGE_CAP:
-                continue
-            checked += 1
-            assert max_matching(g).edges == brute_force_max_matching(g).edges
-
-    def test_result_is_valid_matching(self, graphs_upto_6):
-        for g in graphs_upto_6:
-            m = max_matching(g)
-            assert m.size == matching_number(g)
-            assert all(e in g.edges for e in m.edges)
-
-
 class TestCounting:
     def test_known_counts(self):
-        assert count_maximum_matchings(cycle_graph(4)) == 2
-        assert count_maximum_matchings(path_graph(3)) == 2
-        assert count_maximum_matchings(cycle_graph(6)) == 2
-        assert count_maximum_matchings(path_graph(4)) == 1
-        assert count_maximum_matchings(cycle_graph(3)) == 3
-        assert count_maximum_matchings(complete_graph(4)) == 3
-        assert count_maximum_matchings(star_graph(4)) == 4
+        assert len(enumerate_maximum_matchings(cycle_graph(4))) == 2
+        assert len(enumerate_maximum_matchings(path_graph(3))) == 2
+        assert len(enumerate_maximum_matchings(cycle_graph(6))) == 2
+        assert len(enumerate_maximum_matchings(path_graph(4))) == 1
+        assert len(enumerate_maximum_matchings(cycle_graph(3))) == 3
+        assert len(enumerate_maximum_matchings(complete_graph(4))) == 3
+        assert len(enumerate_maximum_matchings(star_graph(4))) == 4
 
     def test_petersen_perfect_matchings(self):
-        assert count_maximum_matchings(petersen_graph()) == 6
+        assert len(enumerate_maximum_matchings(petersen_graph())) == 6
 
     def test_enumeration_consistency(self, graphs_upto_6):
         for g in graphs_upto_6:
             maxima = enumerate_maximum_matchings(g)
-            assert len(maxima) == count_maximum_matchings(g)
             assert maxima == sorted(maxima)
             assert len(set(maxima)) == len(maxima)
             target = matching_number(g)
@@ -196,7 +169,6 @@ class TestCounting:
                 m = Matching(edges)  # validates disjointness
                 assert m.size == target
                 assert all(e in g.edges for e in edges)
-            assert maxima[0] == max_matching(g).edges
 
 
 def _has_augmenting_path(g: Graph, matched: frozenset) -> bool:
@@ -419,8 +391,6 @@ class TestCapacity:
         assert len(g.edges) > BRUTE_FORCE_EDGE_CAP
         with pytest.raises(CapacityError):
             brute_force_max_matching(g)
-        with pytest.raises(CapacityError):
-            count_maximum_matchings(g)
         with pytest.raises(CapacityError):
             enumerate_maximum_matchings(g)
         # the blossom path has no such cap

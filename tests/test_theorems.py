@@ -14,6 +14,7 @@ import itertools
 import json
 import multiprocessing
 import random
+from array import array
 
 import pytest
 
@@ -21,8 +22,6 @@ from snlab import (
     FamilyParams,
     FamilyPrediction,
     Graph,
-    PendantType,
-    ReductionStep,
     SignedGraph,
     TheoremViolation,
     attains_upper,
@@ -39,11 +38,9 @@ from snlab import (
     invariant_record,
     nullity,
     path_graph,
-    pendant_reduction,
     pendant_vertices,
     read_graph6,
     slack_coverage,
-    star_graph,
     unicyclic_case,
     vertices_on_cycles,
     write_graph6,
@@ -55,7 +52,8 @@ from snlab.cli import _dump_line
 from snlab.formats import graph6_decode
 from snlab.generation import enumerate_connected, enumerate_signatures
 from snlab.graphs import fundamental_cycle, is_connected
-from snlab.theorems import _classes, _eta_table, _orbits, _pattern_action
+from snlab.linalg import rank_division_free
+from snlab.theorems import CampaignReport, _attaining, _etas, _pattern_action
 
 
 @pytest.fixture
@@ -120,6 +118,40 @@ def pattern_of(sg: SignedGraph) -> int:
     edges whose fundamental cycles are negative."""
     return sum(1 << i for i, (u, v) in enumerate(cotree_edges(sg.graph))
                if cycle_sign(sg, fundamental_cycle(sg.graph, u, v)) == -1)
+
+
+def reference_report(graphs: list[Graph], n_max: int) -> dict:
+    """``gap_scan(n_max, source=graphs).to_json_dict()`` but for its
+    config, built class by class from the one-off queries
+    ``enumerate_signatures``, ``invariant_record`` and ``attains_upper``."""
+    report = CampaignReport()
+    up = report.upper_check
+    for g in graphs:
+        if g.n > n_max:
+            report.totals["source_skipped"] += 1
+            continue
+        report.totals["graphs"] += 1
+        for sg in enumerate_signatures(g):
+            rec = invariant_record(sg, check=False)
+            report.totals["signatures"] += 1
+            by_s = report.histogram.setdefault((rec.n, rec.c), {})
+            by_s[rec.s] = by_s.get(rec.s, 0) + 1
+            row = row_of(sg)
+            if not rec.lower <= rec.eta <= rec.upper:
+                report.violations.append({"kind": "nullity bounds", **row})
+            if rec.s == 1:
+                report.violations.append({"kind": "slack-one gap", **row})
+            if not is_connected(g):
+                up["skipped_disconnected"] += 1
+                continue
+            predicate = attains_upper(sg)
+            up["tested"] += 1
+            up["predicate_true"] += predicate
+            if predicate == (rec.s == 0):
+                up["agreements"] += 1
+            else:
+                up["disagreements"].append({"predicate": predicate, **row})
+    return report.to_json_dict()
 
 
 def square_with_tail() -> Graph:
@@ -295,50 +327,6 @@ class TestPerRecordPath:
 
 
 class TestPendantReduction:
-    def test_path4(self):
-        res = pendant_reduction(SignedGraph.all_positive(path_graph(4)))
-        assert res.reduced.n == 0
-        assert len(res.steps) == 2
-        assert res.steps[0].pendant == 0 and res.steps[0].neighbor == 1
-        assert res.steps[0].kind is None
-        assert res.vertex_origin == ()
-
-    def test_star(self):
-        res = pendant_reduction(SignedGraph.all_positive(star_graph(3)))
-        assert len(res.steps) == 1
-        assert res.reduced.n == 2
-        assert res.reduced.graph.edges == frozenset()
-        assert res.vertex_origin == (2, 3)
-
-    def test_type_one_preferred(self):
-        # triangle {0,1,2}; pendant 5 at cycle vertex 1 (Type II);
-        # pendant 4 at off-cycle vertex 3 (Type I) must go first
-        g = Graph(6, frozenset(
-            {(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (1, 5)}))
-        res = pendant_reduction(SignedGraph.all_positive(g))
-        assert res.steps[0] == ReductionStep(4, 3, PendantType.TYPE_I)
-
-    def test_family_first_step(self):
-        sg, _ = generate_family(FamilyParams(1, 0, 0))
-        res = pendant_reduction(sg)
-        assert (res.steps[0].pendant, res.steps[0].neighbor) == (1, 0)
-        assert res.steps[0].kind is PendantType.TYPE_I
-
-    def test_reduction_invariants_exhaustive(self, signed_upto_6):
-        for sg in signed_upto_6:
-            res = pendant_reduction(sg)
-            # nullity preserved, all pendants gone, sizes account for steps
-            assert nullity(res.reduced) == nullity(sg)
-            assert not pendant_vertices(res.reduced.graph)
-            assert res.reduced.n + 2 * len(res.steps) == sg.n
-            # the remainder is the induced signed subgraph on the survivors
-            survivors = set(res.vertex_origin)
-            removed = {x for st in res.steps for x in (st.pendant, st.neighbor)}
-            assert survivors | removed == set(range(sg.n))
-            assert len(removed) == 2 * len(res.steps)
-            sub, _ = induced_subgraph(sg, sorted(survivors))
-            assert sub == res.reduced
-
     def test_type_one_step_preserves_slack(self, signed_upto_6):
         """Removing a pendant whose neighbor is off every cycle keeps the
         slack: the cycle structure is untouched and m drops by exactly 1."""
@@ -482,9 +470,9 @@ class TestGapScan:
 
     @pytest.mark.parametrize("faults", ["none", "wrong_nullity"])
     def test_report_per_orbit_equals_per_class(self, faults, request):
-        """Report mode counts per orbit, emit mode per class; on symmetric
-        graphs, and when wrong values make report mode rescan a graph per
-        class, the reports still agree."""
+        """Emitting the lines changes no count: report and emit mode give
+        the same report on symmetric graphs, and also when wrong values
+        make both walk a graph's classes for their rows."""
         if faults == "wrong_nullity":
             request.getfixturevalue("wrong_nullity")
             source, n_max = None, 4
@@ -495,6 +483,41 @@ class TestGapScan:
         assert per_orbit.to_json_dict() == {**per_class.to_json_dict(),
                                             "config": per_orbit.config}
         assert per_orbit.clean == (faults == "none")
+
+    @pytest.mark.parametrize("n_max, source", [(5, None), (10, symmetric_graphs())],
+                             ids=["catalog", "symmetric"])
+    def test_reports_equal_the_per_class_reference(self, n_max, source):
+        """Both modes count from the scan's table; the reference counts
+        class by class without it, on the symmetric graphs also on a
+        disconnected one."""
+        graphs = source or [g for n in range(1, n_max + 1)
+                            for g in enumerate_connected(n)]
+        expected = reference_report(graphs, n_max)
+        for report in (gap_scan(n_max, source=source),
+                       scan_emitting(n_max, source=source)[0]):
+            assert report.to_json_dict() == {**expected, "config": report.config}
+
+    def test_wide_table(self):
+        """From 255 vertices on the table is an ``array("L")``. A path on
+        260 vertices whose chords close disjoint cycles of lengths 4, 6 and
+        8, and the same with 260 isolated vertices, whose etas exceed 255."""
+        path = Graph(260, frozenset([(v, v + 1) for v in range(259)]
+                                    + [(0, 3), (5, 10), (12, 19)]))
+        graphs = [path, disjoint_union(path, Graph(260, frozenset()))]
+        assert all(isinstance(_etas(g), array) for g in graphs)
+        report, chunks = scan_emitting(520, source=graphs)
+        lines = "".join(chunks).splitlines()
+        classes = [sg for g in graphs for sg in enumerate_signatures(g)]
+        assert len(lines) == len(classes) == 16
+        for line, sg in zip(lines, classes):
+            assert json.loads(line)["eta"] == nullity(sg)
+        assert max(json.loads(line)["eta"] for line in lines) > 255
+        assert report.clean
+        plain = gap_scan(520, source=graphs)
+        assert plain.to_json_dict() == {**report.to_json_dict(),
+                                        "config": plain.config}
+        assert plain.to_json_dict() == {**reference_report(graphs, 520),
+                                        "config": plain.config}
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -582,13 +605,13 @@ class TestClassScan:
     @staticmethod
     def assert_matches_reference(g: Graph) -> None:
         connected, cotree = is_connected(g), cotree_edges(g)
-        for (pattern, eta, attains), sg in itertools.zip_longest(
-                _classes(g), enumerate_signatures(g)):
-            assert sg.negatives == {e for i, e in enumerate(cotree)
-                                    if pattern >> i & 1}
-            assert eta == nullity(sg)
-            assert (pattern == 0) == is_balanced(sg).balanced
-            assert attains == (connected and attains_upper(sg))
+        etas, attaining = _etas(g), _attaining(g, cotree)
+        assert len(etas) == (1 << len(cotree)) + 1 and etas[-1] == 0
+        for t, sg in enumerate(enumerate_signatures(g)):
+            assert sg.negatives == {e for i, e in enumerate(cotree) if t >> i & 1}
+            assert etas[t] - 1 == nullity(sg)
+            assert (t == 0) == is_balanced(sg).balanced
+            assert (t == attaining) == (connected and attains_upper(sg))
 
     @staticmethod
     def random_graph(rng: random.Random, n: int, connected: bool) -> Graph:
@@ -657,14 +680,21 @@ class TestClassScan:
                 etas.append(nullity(sg))
             assert all(etas[t] == etas[t ^ odd] for t in range(len(etas)))
 
-    def test_ranks_of_complete_graphs(self):
+    def test_ranks_of_complete_graphs(self, monkeypatch):
         """One class is ranked per orbit of the automorphisms and negation,
         and the orbits cover every class."""
+        ranked = []
+
+        def counting(residual):
+            ranked.append(len(residual))
+            return rank_division_free(residual)
+
+        monkeypatch.setattr("snlab.theorems.rank_division_free", counting)
         for n, ranks in ((5, 4), (6, 10), (7, 27), (8, 131)):
-            g = complete_graph(n)
-            orbits = list(_orbits(g, _eta_table(g)))
-            assert len(orbits) == ranks
-            assert sum(size for _, _, size in orbits) == 1 << cycle_space_dim(g)
+            ranked.clear()
+            etas = _etas(complete_graph(n))
+            assert len(ranked) == ranks
+            assert 0 not in etas[:-1]
 
     def test_cores_above_8(self):
         rng = random.Random(12)
