@@ -37,7 +37,7 @@ from itertools import combinations, product
 from typing import Iterator, Optional
 
 from .errors import CapacityError
-from .graphs import Graph, SignedGraph, cotree_edges, cycle_space_dim
+from .graphs import Graph, SignedGraph, cycle_space_dim
 
 ENUMERATION_VERTEX_CAP = 8
 CAPACITY_OVERRIDE_ENV = "SNLAB_CAPACITY_OVERRIDE"
@@ -332,7 +332,7 @@ def enumerate_signatures(g: Graph) -> Iterator[SignedGraph]:
     first (all-positive) signature is balanced: any negative non-forest
     edge closes a negative fundamental cycle with the positive forest.
     """
-    free = cotree_edges(g)
+    free = g._cotree
     for pattern in range(1 << len(free)):
         yield SignedGraph(g, frozenset(
             e for i, e in enumerate(free) if (pattern >> i) & 1))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import StructureError
 
@@ -42,7 +42,9 @@ def _strip_pendants(adj) -> tuple[list[bool], int]:
         if deg[u] == 0:
             isolated += 1
             continue
-        v = next(w for w in adj[u] if alive[w])
+        for v in adj[u]:
+            if alive[v]:
+                break
         alive[v] = False
         for w in adj[v]:
             if alive[w]:
@@ -89,11 +91,14 @@ class Graph:
 
     @cached_property
     def _adj(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbour lists, from one sort of the edges: a vertex
+        meets its smaller neighbours at their edges' first ends, in order,
+        before its own edges to the greater ones."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in sorted(self.edges):
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbrs)
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def _forest(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -105,6 +110,7 @@ class Graph:
         parent = [-1] * self.n
         seen = [False] * self.n
         order: list[int] = []
+        adj = self._adj
         for root in range(self.n):
             if seen[root]:
                 continue
@@ -114,12 +120,20 @@ class Graph:
             while head < len(order):  # order doubles as the BFS queue
                 v = order[head]
                 head += 1
-                for w in self._adj[v]:
+                for w in adj[v]:
                     if not seen[w]:
                         seen[w] = True
                         parent[w] = v
                         order.append(w)
         return tuple(parent), tuple(order)
+
+    @cached_property
+    def _cotree(self) -> tuple[Edge, ...]:
+        """The non-forest edges of :attr:`_forest`, sorted, found once per
+        graph; see :func:`cotree_edges`."""
+        parent = self._forest[0]
+        return tuple(sorted([e for e in self.edges
+                             if parent[e[0]] != e[1] and parent[e[1]] != e[0]]))
 
     @cached_property
     def pendant_core(self) -> tuple[tuple[int, ...], int, int]:
@@ -150,18 +164,38 @@ class Graph:
     @cached_property
     def _disjoint_cycles(self) -> Optional[tuple[Cycle, ...]]:
         """The cycles sorted by vertices, or None when two share a vertex;
-        see :func:`cycles_pairwise_vertex_disjoint`. Walks the fundamental
-        cycle of each non-forest edge and stops at the first shared
-        vertex."""
-        cycles = []
-        seen: set[int] = set()
-        for cyc in _fundamental_cycles(self):
-            if not seen.isdisjoint(cyc.vertices):
-                return None
-            seen.update(cyc.vertices)
-            cycles.append(cyc)
-        cycles.sort(key=lambda c: c.vertices)
-        return tuple(cycles)
+        see :func:`cycles_pairwise_vertex_disjoint`.
+
+        Marks the forest path of each non-forest edge, climbing from its
+        deeper end until the two ends meet, and stops at the first vertex
+        marked twice; the :class:`Cycle` objects are built only when no
+        vertex is.
+        """
+        parent, order = self._forest
+        depth = [0] * self.n
+        for v in order:
+            if parent[v] != -1:
+                depth[v] = depth[parent[v]] + 1
+        marked = [False] * self.n
+        paths = []
+        for u, v in self._cotree:
+            up, down = [u], [v]  # climbs from u, and from v, to their meeting
+            while u != v:
+                if depth[u] >= depth[v]:
+                    u = parent[u]
+                    up.append(u)
+                else:
+                    v = parent[v]
+                    down.append(v)
+            down.pop()  # the meeting vertex ends both climbs
+            path = up + down[::-1]
+            for w in path:
+                if marked[w]:
+                    return None
+                marked[w] = True
+            paths.append(path)
+        return tuple(sorted((Cycle(tuple(p)) for p in paths),
+                            key=lambda c: c.vertices))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -302,15 +336,10 @@ def fundamental_cycle(g: Graph, u: int, v: int) -> Cycle:
 def cotree_edges(g: Graph) -> list[Edge]:
     """Non-forest edges of the canonical spanning forest, sorted.
 
-    Their count is the cycle-space dimension.
+    Their count is the cycle-space dimension. They are found once per
+    graph; each call returns a fresh list.
     """
-    parent = g._forest[0]
-    return sorted((u, v) for u, v in g.edges if parent[u] != v and parent[v] != u)
-
-
-def _fundamental_cycles(g: Graph) -> Iterator[Cycle]:
-    """The fundamental cycle of each non-forest edge, in sorted edge order."""
-    return (fundamental_cycle(g, u, v) for u, v in cotree_edges(g))
+    return list(g._cotree)
 
 
 @dataclass(frozen=True)
@@ -403,7 +432,8 @@ def vertices_on_cycles(g: Graph) -> frozenset[int]:
     """Vertices lying on at least one cycle: those of the fundamental
     cycles. Every edge of a cycle C lies on the fundamental cycle of one of
     C's non-forest edges, since C is the sum of those fundamental cycles."""
-    return frozenset(v for cyc in _fundamental_cycles(g) for v in cyc.vertices)
+    return frozenset(v for u, w in g._cotree
+                     for v in fundamental_cycle(g, u, w).vertices)
 
 
 def cycles_pairwise_vertex_disjoint(g: Graph):
@@ -426,7 +456,9 @@ def contract_cycles(g: Graph) -> ContractionTree:
     """Contract each cycle of ``g`` to a single cyclic vertex.
 
     Requires all cycles to be pairwise vertex-disjoint; raises
-    :class:`StructureError` otherwise. The result is acyclic.
+    :class:`StructureError` otherwise. The result is acyclic. This is the
+    slow reference :func:`snlab.matching.contraction_matched` is tested
+    against; that test builds no tree.
     """
     ok, cycles = cycles_pairwise_vertex_disjoint(g)
     if not ok:

@@ -25,7 +25,7 @@ from .balance import cycle_sign, is_balanced
 from .errors import TheoremViolation
 from .formats import graph6_encode, sgl_dumps
 from .generation import _LinearAction, check_vertex_cap, enumerate_connected
-from .graphs import (Cycle, Edge, Graph, SignedGraph, cotree_edges, cycle_space_dim,
+from .graphs import (Cycle, Edge, Graph, SignedGraph, cycle_space_dim,
                      cycles_pairwise_vertex_disjoint, is_connected)
 from .linalg import eliminate_outside, nullity, rank_division_free
 from .matching import contraction_matched, matching_number
@@ -298,7 +298,7 @@ class CampaignReport:
         return not self.violations and not self.upper_check["disagreements"]
 
 
-def _pattern_action(g: Graph, cotree: list[Edge]) -> _LinearAction:
+def _pattern_action(g: Graph, cotree: Sequence[Edge]) -> _LinearAction:
     """``g``'s automorphisms acting on cotree patterns.
 
     An automorphism maps the class whose one negative edge is ``e`` to the
@@ -328,7 +328,7 @@ def _pattern_action(g: Graph, cotree: list[Edge]) -> _LinearAction:
                            for u, v in cotree] for p in gens])
 
 
-def _attaining(g: Graph, cotree: list[Edge]) -> Optional[int]:
+def _attaining(g: Graph, cotree: Sequence[Edge]) -> Optional[int]:
     """The pattern of the one class of ``g`` that attains the upper bound,
     or None when no class can.
 
@@ -381,7 +381,7 @@ def _etas(g: Graph):
     ``odd`` has the bits of the odd fundamental cycles, the cotree edges
     whose ends have depths of equal parity in the forest.
     """
-    cotree = cotree_edges(g)
+    cotree = g._cotree
     size = (1 << len(cotree)) + 1
     etas = bytearray(size) if g.n < 255 else array("L", [0]) * size
     pos, k, isolated = g.pendant_core
@@ -452,7 +452,7 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
     """
     n, m, c = g.n, matching_number(g), cycle_space_dim(g)
     lower, upper = _bounds(n, m, c)
-    cotree = cotree_edges(g)
+    cotree = g._cotree
     connected = is_connected(g)
     total = 1 << c
     # None on a disconnected graph. Found before the table is built: the

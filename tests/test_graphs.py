@@ -273,6 +273,54 @@ class TestDisjointCycles:
         assert min(outcomes.values()) > 200  # both answers, with cycles
         assert answers == {None, False, True}
 
+    def test_matches_block_reference_on_disjoint_cycle_graphs(self):
+        """Graphs whose cycles are all vertex-disjoint, as in the hereditary
+        catalogs, with both answers of the contraction test."""
+        rng = random.Random(20261019)
+        outcomes = {True: 0, False: 0}
+        for _ in range(600):
+            g, cycles = _disjoint_cycle_graph(rng)
+            assert cycle_space_dim(g) == cycles
+            outcomes[_assert_matches_blocks(g)] += 1
+        assert min(outcomes.values()) >= 50
+
+    def test_adjacency_lists_ascend_on_random_graphs(self):
+        """``Graph._adj``, built from one sort of the edges, lists each
+        vertex's neighbours once each, ascending, on the random graphs of
+        ``test_matches_block_reference_on_random_graphs``."""
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            n = rng.randrange(8, 31)
+            m = rng.randrange(n // 2, n + 5)
+            edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(m)}
+            adj = Graph(n, frozenset(edges))._adj
+            assert all(list(b) == sorted(set(b)) for b in adj)
+            assert sum(map(len, adj)) == 2 * len(edges)
+            assert {(v, w) for v, b in enumerate(adj) for w in b if v < w} == edges
+
+
+def _disjoint_cycle_graph(rng):
+    """A random connected graph on 12 to 40 randomly labelled vertices
+    whose cycles are 2 to 6 vertex-disjoint cycles, of lengths 3 to 6,
+    each hung by one edge on a random vertex of a random tree:
+    ``(graph, number of cycles)``."""
+    lengths = [rng.randrange(3, 7) for _ in range(rng.randrange(2, 7))]
+    n = rng.randrange(max(12, sum(lengths) + 1), 41)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, start = set(), 0
+    tree = label[sum(lengths):]
+    for i in range(1, len(tree)):
+        u, v = tree[i], tree[rng.randrange(i)]
+        edges.add((min(u, v), max(u, v)))
+    for q in lengths:
+        cyc = label[start:start + q]
+        start += q
+        edges |= {tuple(sorted((cyc[i - 1], cyc[i]))) for i in range(q)}
+        u, v = rng.choice(cyc), rng.choice(tree)
+        edges.add((min(u, v), max(u, v)))
+    return Graph(n, frozenset(edges)), len(lengths)
+
 
 def _disjoint_cycles_by_blocks(g):
     """The slow reference: the cycle blocks' edge sets ordered by least

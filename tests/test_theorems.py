@@ -53,6 +53,7 @@ from snlab.formats import graph6_decode
 from snlab.generation import enumerate_connected, enumerate_signatures
 from snlab.graphs import fundamental_cycle, is_connected
 from snlab.linalg import rank_division_free
+from snlab.matching import contraction_matched
 from snlab.theorems import CampaignReport, _attaining, _etas, _pattern_action
 
 
@@ -324,6 +325,39 @@ class TestPerRecordPath:
         body = json.dumps(answers, separators=(",", ":"))
         assert hashlib.sha256(body.encode()).hexdigest() == (
             "0e66e11601a8743e1de3f8f248c393bb4829e82d34bc1e4517eb6101c369495b")
+
+    def test_no_graph_is_built(self, monkeypatch):
+        """``attains_upper`` and ``classify_unicyclic`` decide the
+        contraction test on the record's own graph: on fresh records that
+        reach it they construct no ``Graph``."""
+        # a positive square and a negative hexagon, each hung on a vertex
+        # with a pendant, 4-5 and 12-13; then a negative triangle with a tail
+        two = SignedGraph.with_negatives(Graph(14, cycle_graph(4).edges | {
+            (6, 7), (7, 8), (8, 9), (9, 10), (10, 11), (6, 11),
+            (0, 4), (4, 5), (4, 6), (6, 12), (12, 13)}), [(6, 7)])
+        one = SignedGraph.with_negatives(
+            Graph(5, cycle_graph(3).edges | {(2, 3), (3, 4)}), [(0, 1)])
+        built, matched = [], []
+        post_init = Graph.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        def counting_matched(g):
+            matched.append(contraction_matched(g))
+            return matched[-1]
+
+        monkeypatch.setattr(Graph, "__post_init__", counting_post_init)
+        monkeypatch.setattr("snlab.theorems.contraction_matched", counting_matched)
+        answers = attains_upper(two), classify_unicyclic(one)
+        monkeypatch.undo()
+        assert built == [] and matched == [True, True]
+        assert answers == (True, -1)
+        rec = invariant_record(two)
+        assert rec.eta == rec.upper
+        rec = invariant_record(one)
+        assert rec.eta == rec.n - 2 * rec.m - 1
 
 
 class TestPendantReduction:
@@ -695,6 +729,45 @@ class TestClassScan:
             etas = _etas(complete_graph(n))
             assert len(ranked) == ranks
             assert 0 not in etas[:-1]
+
+    def test_ranks_equal_burnside_orbit_counts(self, graphs_upto_6,
+                                               monkeypatch):
+        """``_etas`` ranks one class per orbit of ``H``, the group that
+        negation ``t ^ odd`` and the pattern maps of ``g.automorphisms``
+        generate (negation alone below five cotree edges): its ranks equal
+        Burnside's count ``(1/|H|) sum |Fix(h)|``, with ``H`` enumerated by
+        closure from those maps."""
+        ranked = []
+
+        def counting(residual):
+            ranked.append(len(residual))
+            return rank_division_free(residual)
+
+        monkeypatch.setattr("snlab.theorems.rank_division_free", counting)
+        for g in graphs_upto_6:
+            cotree = cotree_edges(g)
+            patterns = range(1 << len(cotree))
+            odd = sum(1 << i for i, (u, v) in enumerate(cotree)
+                      if len(fundamental_cycle(g, u, v)) % 2)
+            action = _pattern_action(g, cotree)
+            w, third = action.w, (1 << action.w) - 1
+            gens = [tuple(t ^ odd for t in patterns)] + [
+                tuple(t0[t & third] ^ t1[t >> w & third] ^ t2[t >> 2 * w]
+                      for t in patterns) for t0, t1, t2 in action.maps]
+            group = {tuple(patterns)}
+            todo = list(group)
+            while todo:
+                h = todo.pop()
+                for s in gens:
+                    sh = tuple(s[t] for t in h)
+                    if sh not in group:
+                        group.add(sh)
+                        todo.append(sh)
+            fixed = sum(h[t] == t for h in group for t in patterns)
+            assert fixed % len(group) == 0
+            ranked.clear()
+            _etas(g)
+            assert len(ranked) == fixed // len(group), g
 
     def test_cores_above_8(self):
         rng = random.Random(12)
