@@ -330,8 +330,9 @@ class TestPerRecordPath:
         """``attains_upper`` and ``classify_unicyclic`` decide the
         contraction test on the record's own graph: on fresh records that
         reach it they construct no ``Graph``."""
-        # a positive square and a negative hexagon, each hung on a vertex
-        # with a pendant, 4-5 and 12-13; then a negative triangle with a tail
+        # a positive square 0-3 and a negative hexagon 6-11, both joined to
+        # vertex 4, which carries the pendant 5, the hexagon with the tail
+        # 12-13; then a negative triangle with a tail
         two = SignedGraph.with_negatives(Graph(14, cycle_graph(4).edges | {
             (6, 7), (7, 8), (8, 9), (9, 10), (10, 11), (6, 11),
             (0, 4), (4, 5), (4, 6), (6, 12), (12, 13)}), [(6, 7)])
