@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import (Cycle, SignedGraph, cotree_edges, fundamental_cycle,
-                     is_cycle_of)
+from .graphs import (Cycle, Edge, SignedGraph, cotree_edges,
+                     fundamental_cycle, is_cycle_of)
 
 
 def cycle_sign(sg: SignedGraph, c: Cycle) -> int:
@@ -21,10 +21,12 @@ def cycle_sign(sg: SignedGraph, c: Cycle) -> int:
     graph."""
     if not is_cycle_of(sg.graph, c):
         raise ValueError(f"{c!r} is not a cycle of the graph")
-    s = 1
-    for e in c.edge_list():
-        s *= -1 if e in sg.negatives else 1
-    return s
+    return _sign(sg, c)
+
+
+def _sign(sg: SignedGraph, c: Cycle) -> int:
+    """:func:`cycle_sign` of a ``c`` known to be a cycle of the graph."""
+    return -1 if sum(e in sg.negatives for e in c.edge_list()) % 2 else 1
 
 
 def switch(sg: SignedGraph, flip: Iterable[int]) -> SignedGraph:
@@ -55,29 +57,38 @@ class BalanceResult:
 def _forest_signing(sg: SignedGraph) -> list[int]:
     """Per-vertex signs ``mu`` making every forest edge positive."""
     parent, order = sg.graph._forest
+    flip = [False] * sg.n  # whether v's forest edge to its parent is negative
+    for u, v in sg.negatives:
+        if parent[v] == u:
+            flip[v] = True
+        elif parent[u] == v:
+            flip[u] = True
     mu = [1] * sg.n
     for v in order:
         p = parent[v]
         if p != -1:
-            e = (p, v) if p < v else (v, p)
-            mu[v] = mu[p] * (-1 if e in sg.negatives else 1)
+            mu[v] = -mu[p] if flip[v] else mu[p]
     return mu
 
 
-def is_balanced(sg: SignedGraph) -> BalanceResult:
-    """Decide balance, returning verified evidence.
-
-    Signs are propagated over the canonical spanning forest; the graph is
-    balanced iff every non-forest edge agrees with the propagated signs.
-    The switching function then positivizes every edge; otherwise the
-    disagreeing edge closes a fundamental cycle of sign -1.
-    """
+def _disagreeing_edge(sg: SignedGraph) -> Optional[Edge]:
+    """The first non-forest edge whose sign disagrees with the signs
+    propagated over the canonical spanning forest, or None; the graph is
+    balanced iff there is none."""
     mu = _forest_signing(sg)
-    for u, v in cotree_edges(sg.graph):
-        if mu[u] * mu[v] * (-1 if (u, v) in sg.negatives else 1) == -1:
-            return BalanceResult(
-                False, None, fundamental_cycle(sg.graph, u, v))
-    return BalanceResult(True, tuple(mu), None)
+    return next((e for e in cotree_edges(sg.graph)
+                 if (mu[e[0]] == mu[e[1]]) == (e in sg.negatives)), None)
+
+
+def is_balanced(sg: SignedGraph) -> BalanceResult:
+    """Decide balance, returning verified evidence: the signs propagated
+    over the canonical spanning forest switch every edge positive, or the
+    edge :func:`_disagreeing_edge` finds closes a fundamental cycle of
+    sign -1."""
+    e = _disagreeing_edge(sg)
+    if e is not None:
+        return BalanceResult(False, None, fundamental_cycle(sg.graph, *e))
+    return BalanceResult(True, tuple(_forest_signing(sg)), None)
 
 
 def canonical_signature(sg: SignedGraph) -> SignedGraph:

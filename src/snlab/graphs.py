@@ -9,7 +9,6 @@ and safe to share between workers; all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import StructureError
@@ -19,6 +18,20 @@ Edge = tuple[int, int]
 
 def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+class _cached:
+    """Like :func:`functools.cached_property`, without its lock: a non-data
+    descriptor whose first access computes the value and stores it in the
+    instance ``__dict__``, where later lookups find it first."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.func.__name__, self.func(obj))
 
 
 def _strip_pendants(adj) -> tuple[list[bool], int]:
@@ -89,45 +102,42 @@ class Graph:
                     edges.append((i, j))
         return cls(n, frozenset(edges))
 
-    @cached_property
+    @_cached
     def _adj(self) -> tuple[tuple[int, ...], ...]:
-        """Ascending neighbour lists, from one sort of the edges: a vertex
-        meets its smaller neighbours at their edges' first ends, in order,
-        before its own edges to the greater ones."""
+        """Ascending neighbour lists, each sorted on its own: short lists
+        of integers sort faster than the edge tuples."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.edges):
+        for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
+        for b in nbrs:
+            b.sort()
         return tuple(map(tuple, nbrs))
 
-    @cached_property
+    @_cached
     def _forest(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The canonical BFS spanning forest ``(parent, order)``, one BFS per
         graph: each component is rooted at its smallest vertex
         (``parent[root] == -1``) and neighbours are visited in ascending
         order; ``order`` lists the vertices as visited, component by
         component."""
-        parent = [-1] * self.n
-        seen = [False] * self.n
+        parent = [-2] * self.n  # -2 until the BFS reaches the vertex
         order: list[int] = []
         adj = self._adj
         for root in range(self.n):
-            if seen[root]:
+            if parent[root] != -2:
                 continue
-            seen[root] = True
-            head = len(order)
-            order.append(root)
-            while head < len(order):  # order doubles as the BFS queue
-                v = order[head]
-                head += 1
+            parent[root] = -1
+            queue = [root]
+            for v in queue:  # the loop reads what it appends: a BFS queue
                 for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
+                    if parent[w] == -2:
                         parent[w] = v
-                        order.append(w)
+                        queue.append(w)
+            order += queue
         return tuple(parent), tuple(order)
 
-    @cached_property
+    @_cached
     def _cotree(self) -> tuple[Edge, ...]:
         """The non-forest edges of :attr:`_forest`, sorted, found once per
         graph; see :func:`cotree_edges`."""
@@ -135,7 +145,7 @@ class Graph:
         return tuple(sorted([e for e in self.edges
                              if parent[e[0]] != e[1] and parent[e[1]] != e[0]]))
 
-    @cached_property
+    @_cached
     def pendant_core(self) -> tuple[tuple[int, ...], int, int]:
         """What is left after stripping pendant pairs: ``(pos, k, isolated)``.
 
@@ -153,7 +163,7 @@ class Graph:
                 k += 1
         return tuple(pos), k, isolated
 
-    @cached_property
+    @_cached
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """Generators of the automorphism group, as image tuples, computed
         once per graph; see
@@ -161,7 +171,7 @@ class Graph:
         from .generation import automorphism_generators  # it imports this module
         return automorphism_generators(self)
 
-    @cached_property
+    @_cached
     def _disjoint_cycles(self) -> Optional[tuple[Cycle, ...]]:
         """The cycles sorted by vertices, or None when two share a vertex;
         see :func:`cycles_pairwise_vertex_disjoint`.

@@ -21,11 +21,11 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .balance import cycle_sign, is_balanced
+from .balance import _disagreeing_edge, _sign
 from .errors import TheoremViolation
 from .formats import graph6_encode, sgl_dumps
 from .generation import _LinearAction, check_vertex_cap, enumerate_connected
-from .graphs import (Cycle, Edge, Graph, SignedGraph, cycle_space_dim,
+from .graphs import (Edge, Graph, SignedGraph, cycle_space_dim,
                      cycles_pairwise_vertex_disjoint, is_connected)
 from .linalg import eliminate_outside, nullity, rank_division_free
 from .matching import contraction_matched, matching_number
@@ -83,7 +83,7 @@ def invariant_record(sg: SignedGraph, check: bool = True) -> InvariantRecord:
     lower, upper = _bounds(n, m, c)
     eta = nullity(sg)
     rec = InvariantRecord(n=n, m=m, c=c, eta=eta,
-                          balanced=is_balanced(sg).balanced,
+                          balanced=_disagreeing_edge(sg) is None,
                           lower=lower, upper=upper, s=upper - eta)
     broken = _broken_laws(eta, lower, upper) if check else []
     if broken:
@@ -98,11 +98,6 @@ def _attaining_sign(length: int) -> Optional[int]:
     return {0: 1, 2: -1}.get(length % 4)
 
 
-def _signs_attain(sg: SignedGraph, cycles: Sequence[Cycle]) -> bool:
-    """Every cycle has the sign :func:`_attaining_sign` asks of its length."""
-    return all(cycle_sign(sg, cyc) == _attaining_sign(len(cyc)) for cyc in cycles)
-
-
 def attains_upper(sg: SignedGraph) -> bool:
     """Structural predicate equivalent to eta = n - 2m + 2c.
 
@@ -115,7 +110,8 @@ def attains_upper(sg: SignedGraph) -> bool:
     if not is_connected(sg.graph):
         raise ValueError("the upper-bound predicate needs a connected graph")
     ok, cycles = cycles_pairwise_vertex_disjoint(sg.graph)
-    return ok and _signs_attain(sg, cycles) and contraction_matched(sg.graph)
+    return ok and all(_sign(sg, cyc) == _attaining_sign(len(cyc))
+                      for cyc in cycles) and contraction_matched(sg.graph)
 
 
 def classify_unicyclic(sg: SignedGraph) -> int:
@@ -131,7 +127,7 @@ def classify_unicyclic(sg: SignedGraph) -> int:
         raise ValueError("expected a connected unicyclic graph")
     _, (cyc,) = cycles_pairwise_vertex_disjoint(g)
     # a unicyclic graph is balanced exactly when its one cycle is positive
-    if cycle_sign(sg, cyc) == 1:
+    if _sign(sg, cyc) == 1:
         raise ValueError("expected an unbalanced signature")
     q = len(cyc)
     matched = contraction_matched(g)

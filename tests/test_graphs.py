@@ -2,8 +2,11 @@
 spanning forest (checked against the block decomposition of the tests'
 conftest), contraction, pendant cores."""
 
+import dataclasses
 import itertools
+import pickle
 import random
+from collections import deque
 
 import pytest
 
@@ -14,7 +17,7 @@ from snlab import (Cycle, Graph, SignedGraph, complete_graph, connected_componen
                    num_components, path_graph, pendant_vertices, star_graph,
                    vertices_on_cycles)
 from snlab.errors import StructureError
-from snlab.graphs import is_cycle_of
+from snlab.graphs import _cached, is_cycle_of
 from snlab.matching import contraction_matched
 
 from conftest import blocks, connected_graphs_upto
@@ -177,6 +180,81 @@ class TestComponentsAndCycleSpace:
     def test_cycle_space_matches_definition_exhaustive(self):
         for g in connected_graphs_upto(6):
             assert cycle_space_dim(g) == len(g.edges) - g.n + 1
+
+    def test_forest_is_the_ascending_bfs(self):
+        """``_forest`` equals a textbook BFS from each smallest unreached
+        vertex over ascending neighbours, on random graphs with several
+        components and isolated vertices."""
+        rng = random.Random(20261019)
+        for _ in range(300):
+            n = rng.randrange(1, 30)
+            pairs = list(itertools.combinations(range(n), 2))
+            size = rng.randrange(len(pairs) // 4 + 1)
+            g = Graph(n, frozenset(rng.sample(pairs, size)))
+            parent, order = [-1] * n, []
+            for root in range(n):
+                if root in order:
+                    continue
+                queue = deque([root])
+                order.append(root)
+                while queue:
+                    v = queue.popleft()
+                    for w in sorted(w for e in g.edges if v in e for w in e if w != v):
+                        if w not in order:
+                            parent[w] = v
+                            order.append(w)
+                            queue.append(w)
+            assert g._forest == (tuple(parent), tuple(order))
+
+
+class TestCachedState:
+    """``Graph``'s derived state is cached by ``graphs._cached``, a
+    lock-free stand-in for ``functools.cached_property``."""
+
+    def test_computed_once_into_the_instance_dict(self):
+        calls = []
+
+        class Box:
+            @_cached
+            def value(self):
+                """The boxed value."""
+                calls.append(self)
+                return [len(calls)]
+
+        box = Box()
+        first = box.value
+        assert box.value is first and vars(box) == {"value": first}
+        assert calls == [box] and Box().value == [2]
+        g = path_graph(4)
+        assert "_adj" not in vars(g)
+        adj = g._adj
+        assert vars(g)["_adj"] is adj and g._adj is adj
+
+    def test_class_access_returns_the_descriptor(self):
+        for name in ("_adj", "_forest", "_cotree", "pendant_core",
+                     "automorphisms", "_disjoint_cycles"):
+            assert isinstance(vars(Graph)[name], _cached)
+            assert getattr(Graph, name) is vars(Graph)[name]
+        assert Graph.pendant_core.__doc__.startswith("What is left")
+
+    def test_frozen_graph_rejects_assignment(self):
+        g = cycle_graph(4)
+        core = g.pendant_core
+        for name in ("pendant_core", "_forest", "n"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, None)
+        assert g.pendant_core is core and g.n == 4
+
+    def test_pickled_graph_keeps_its_cached_entries(self):
+        """The fork pool's chunks carry each graph's cached state."""
+        g = Graph(7, cycle_graph(4).edges | {(3, 4), (4, 5), (5, 6)})
+        cached = (g._adj, g._forest, g._cotree, g.pendant_core,
+                  g._disjoint_cycles)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy is not g
+        assert sorted(vars(copy)) == sorted(vars(g))
+        assert (copy._adj, copy._forest, copy._cotree, copy.pendant_core,
+                copy._disjoint_cycles) == cached
 
 
 class TestBlocks:

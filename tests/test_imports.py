@@ -1,6 +1,7 @@
 """Every imported name is used, in the package and in the tests, the
-package states no check as an ``assert``, and every name the README's entry
-points list exists.
+package states no check as an ``assert`` and caches nothing with
+``functools.cached_property``, and every name the README's entry points
+list exists.
 
 Static checks with the standard library's ``ast``. ``snlab/__init__.py``
 is left out of the first, because it imports names only to re-export them.
@@ -67,6 +68,32 @@ def test_the_check_finds_asserts():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_asserts_in_the_package(path):
     assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def cached_property_lines(source: str) -> list[int]:
+    """The lines that import ``functools.cached_property`` or read it off
+    ``functools``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for a in node.names if a.name == "cached_property"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "cached_property"
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_finds_cached_property():
+    source = ("import functools\nfrom functools import lru_cache, cached_property\n"
+              "class A:\n    @functools.cached_property\n    def x(self):\n"
+              "        return 'cached_property'\n")
+    assert cached_property_lines(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_cached_property_in_the_package(path):
+    """It takes a lock on every first access; ``graphs._cached`` does not."""
+    assert cached_property_lines(path.read_text(encoding="utf-8")) == []
 
 
 def missing_readme_names(readme: str) -> list[str]:

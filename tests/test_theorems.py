@@ -19,6 +19,7 @@ from array import array
 import pytest
 
 from snlab import (
+    Cycle,
     FamilyParams,
     FamilyPrediction,
     Graph,
@@ -47,7 +48,8 @@ from snlab import (
 )
 from conftest import (WRONG_NULLITY, complete_bipartite, cube, petersen,
                       signed_sweep)
-from snlab.balance import cotree_edges, cycle_sign, is_balanced
+from snlab.balance import (_disagreeing_edge, _sign, cotree_edges, cycle_sign,
+                           is_balanced)
 from snlab.cli import _dump_line
 from snlab.formats import graph6_decode
 from snlab.generation import enumerate_connected, enumerate_signatures
@@ -280,14 +282,14 @@ class TestClassifyUnicyclic:
             assert rec.eta == rec.n - 2 * rec.m + offset
 
 
-def _record_graphs(count: int, seed: int) -> list[SignedGraph]:
-    """Random connected signed graphs with 12-40 vertices: a random labelled
-    tree plus ``c`` (0-6) distinct extra edges, every edge signed at
-    random, so the cycle-space dimension is exactly ``c``."""
+def _record_graphs(count: int, seed: int, n_max: int = 40) -> list[SignedGraph]:
+    """Random connected signed graphs with 12 to ``n_max`` vertices: a
+    random labelled tree plus ``c`` (0-6) distinct extra edges, every edge
+    signed at random, so the cycle-space dimension is exactly ``c``."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        n, c = rng.randrange(12, 41), rng.randrange(7)
+        n, c = rng.randrange(12, n_max + 1), rng.randrange(7)
         label = list(range(n))
         rng.shuffle(label)
         edges = set()
@@ -359,6 +361,61 @@ class TestPerRecordPath:
         assert rec.eta == rec.upper
         rec = invariant_record(one)
         assert rec.eta == rec.n - 2 * rec.m - 1
+
+    def test_unbalanced_record_builds_no_cycle(self, monkeypatch):
+        """``invariant_record`` reads only the balance verdict, so on an
+        unbalanced record it builds no ``Cycle`` of evidence."""
+        # K4 with one negative edge, so two of its triangles are negative,
+        # and a tail
+        k4 = SignedGraph.with_negatives(
+            Graph(6, complete_graph(4).edges | {(3, 4), (4, 5)}), [(0, 1)])
+        built = []
+        post_init = Cycle.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Cycle, "__post_init__", counting_post_init)
+        rec = invariant_record(k4)
+        monkeypatch.undo()
+        assert built == [] and not rec.balanced
+        assert not is_balanced(k4).balanced
+
+    def test_balance_verdict_equals_is_balanced_on_small_signatures(
+            self, signed_upto_5):
+        """Also equal to "every fundamental cycle is positive", by the
+        checked ``cycle_sign``."""
+        verdicts = set()
+        for sg in signed_upto_5:
+            result = is_balanced(sg)
+            edge = _disagreeing_edge(sg)
+            assert (edge is None) == result.balanced == all(
+                cycle_sign(sg, fundamental_cycle(sg.graph, u, v)) == 1
+                for u, v in cotree_edges(sg.graph))
+            if edge is not None:  # the evidence is the cycle the edge closes
+                assert edge in result.negative_cycle.edge_list()
+            verdicts.add(result.balanced)
+        assert verdicts == {True, False}
+
+    def test_fast_paths_equal_references_on_random_records(self):
+        """On random records with n up to 48, the balance verdict equals
+        ``is_balanced`` and the unchecked cycle signs equal ``cycle_sign``,
+        on every fundamental cycle and on every disjoint cycle."""
+        balanced = disjoint = 0
+        for sg in _record_graphs(500, 20261019, n_max=48):
+            g = sg.graph
+            verdict = _disagreeing_edge(sg) is None
+            cycles = [fundamental_cycle(g, u, v) for u, v in cotree_edges(g)]
+            assert verdict == is_balanced(sg).balanced == all(
+                cycle_sign(sg, cyc) == 1 for cyc in cycles)
+            balanced += verdict
+            if g._disjoint_cycles:  # None, or the cycles when disjoint
+                cycles += g._disjoint_cycles
+                disjoint += 1
+            for cyc in cycles:
+                assert _sign(sg, cyc) == cycle_sign(sg, cyc)
+        assert 50 <= balanced <= 450 and disjoint >= 50
 
 
 class TestPendantReduction:
