@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import (Cycle, Edge, SignedGraph, cotree_edges,
-                     fundamental_cycle, is_cycle_of)
+from .graphs import (Cycle, SignedGraph, cotree_edges, fundamental_cycle,
+                     is_cycle_of)
 
 
 def cycle_sign(sg: SignedGraph, c: Cycle) -> int:
@@ -21,11 +21,6 @@ def cycle_sign(sg: SignedGraph, c: Cycle) -> int:
     graph."""
     if not is_cycle_of(sg.graph, c):
         raise ValueError(f"{c!r} is not a cycle of the graph")
-    return _sign(sg, c)
-
-
-def _sign(sg: SignedGraph, c: Cycle) -> int:
-    """:func:`cycle_sign` of a ``c`` known to be a cycle of the graph."""
     return -1 if sum(e in sg.negatives for e in c.edge_list()) % 2 else 1
 
 
@@ -57,37 +52,39 @@ class BalanceResult:
 def _forest_signing(sg: SignedGraph) -> list[int]:
     """Per-vertex signs ``mu`` making every forest edge positive."""
     parent, order = sg.graph._forest
-    flip = [False] * sg.n  # whether v's forest edge to its parent is negative
+    mu = [1] * sg.n  # first the sign of each vertex's edge to its parent
     for u, v in sg.negatives:
         if parent[v] == u:
-            flip[v] = True
+            mu[v] = -1
         elif parent[u] == v:
-            flip[u] = True
-    mu = [1] * sg.n
-    for v in order:
+            mu[u] = -1
+    for v in order:  # BFS order: a parent's product is final before its children
         p = parent[v]
         if p != -1:
-            mu[v] = -mu[p] if flip[v] else mu[p]
+            mu[v] *= mu[p]
     return mu
 
 
-def _disagreeing_edge(sg: SignedGraph) -> Optional[Edge]:
-    """The first non-forest edge whose sign disagrees with the signs
-    propagated over the canonical spanning forest, or None; the graph is
-    balanced iff there is none."""
+def _pattern(sg: SignedGraph) -> int:
+    """The pattern of ``sg``'s switching class, its index in
+    :func:`snlab.generation.enumerate_signatures`: bit ``i`` is set when the
+    sign of cotree edge ``i`` disagrees with :func:`_forest_signing`, i.e.
+    when the fundamental cycle it closes is negative; 0 iff balanced."""
     mu = _forest_signing(sg)
-    return next((e for e in cotree_edges(sg.graph)
-                 if (mu[e[0]] == mu[e[1]]) == (e in sg.negatives)), None)
+    negatives = sg.negatives
+    return sum(1 << i for i, e in enumerate(cotree_edges(sg.graph))
+               if (mu[e[0]] == mu[e[1]]) == (e in negatives))
 
 
 def is_balanced(sg: SignedGraph) -> BalanceResult:
     """Decide balance, returning verified evidence: the signs propagated
     over the canonical spanning forest switch every edge positive, or the
-    edge :func:`_disagreeing_edge` finds closes a fundamental cycle of
-    sign -1."""
-    e = _disagreeing_edge(sg)
-    if e is not None:
-        return BalanceResult(False, None, fundamental_cycle(sg.graph, *e))
+    cotree edge of the lowest bit of :func:`_pattern` closes a fundamental
+    cycle of sign -1."""
+    t = _pattern(sg)
+    if t:
+        u, v = cotree_edges(sg.graph)[(t & -t).bit_length() - 1]
+        return BalanceResult(False, None, fundamental_cycle(sg.graph, u, v))
     return BalanceResult(True, tuple(_forest_signing(sg)), None)
 
 

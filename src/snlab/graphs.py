@@ -9,7 +9,7 @@ and safe to share between workers; all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import StructureError
 
@@ -173,39 +173,56 @@ class Graph:
 
     @_cached
     def _disjoint_cycles(self) -> Optional[tuple[Cycle, ...]]:
-        """The cycles sorted by vertices, or None when two share a vertex;
-        see :func:`cycles_pairwise_vertex_disjoint`.
-
-        Marks the forest path of each non-forest edge, climbing from its
-        deeper end until the two ends meet, and stops at the first vertex
-        marked twice; the :class:`Cycle` objects are built only when no
-        vertex is.
-        """
-        parent, order = self._forest
-        depth = [0] * self.n
-        for v in order:
-            if parent[v] != -1:
-                depth[v] = depth[parent[v]] + 1
+        """The fundamental cycles, the ``i``-th closed by cotree edge ``i``,
+        or None when two share a vertex (see
+        :func:`cycles_pairwise_vertex_disjoint`); marking stops at the first
+        vertex marked twice, before any :class:`Cycle` is built."""
         marked = [False] * self.n
         paths = []
-        for u, v in self._cotree:
-            up, down = [u], [v]  # climbs from u, and from v, to their meeting
-            while u != v:
-                if depth[u] >= depth[v]:
-                    u = parent[u]
-                    up.append(u)
-                else:
-                    v = parent[v]
-                    down.append(v)
-            down.pop()  # the meeting vertex ends both climbs
-            path = up + down[::-1]
+        for path in _forest_paths(self, self._cotree):
             for w in path:
                 if marked[w]:
                     return None
                 marked[w] = True
             paths.append(path)
-        return tuple(sorted((Cycle(tuple(p)) for p in paths),
-                            key=lambda c: c.vertices))
+        return tuple(Cycle(tuple(p)) for p in paths)
+
+    @_cached
+    def _matched(self) -> bool:
+        """:func:`snlab.matching.contraction_matched`, once per graph.
+
+        Each cycle contracts to its least vertex and leaves its other
+        vertices without neighbours, which adds the same count to both
+        isolated totals below. The tree is a forest (its distinct edges
+        number ``n - sum(len(C) - 1)`` less the components), which strips
+        to nothing, so each matching number is (vertices - isolated) // 2.
+        Emptying the cyclic vertices' lists keeps the vertex count and adds
+        them to the isolated count, so the two numbers are equal exactly
+        when both strippings isolate as many vertices.
+        """
+        cycles = self._disjoint_cycles
+        if cycles is None:
+            raise StructureError("cycles are not pairwise vertex-disjoint")
+        image = list(range(self.n))
+        for cyc in cycles:
+            for v in cyc.vertices:
+                image[v] = cyc.vertices[0]
+        edges = set()
+        for u, v in self.edges:
+            a, b = image[u], image[v]
+            if a != b:
+                edges.add((a, b) if a < b else (b, a))
+        if len(edges) != (self.n - sum(len(c) - 1 for c in cycles)
+                          - num_components(self)):
+            raise StructureError("contraction did not produce an acyclic graph")
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        cyclic = {cyc.vertices[0] for cyc in cycles}
+        off = [[] if v in cyclic else [w for w in b if w not in cyclic]
+               for v, b in enumerate(adj)]
+        return _strip_pendants(adj)[1] == _strip_pendants(off)[1]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -328,19 +345,41 @@ def is_cycle_of(g: Graph, c: Cycle) -> bool:
     return all(g.has_edge(u, v) for u, v in c.edge_list())
 
 
+def _forest_depth(g: Graph) -> list[int]:
+    """Each vertex's distance from its root in the canonical forest."""
+    parent, order = g._forest
+    depth = [0] * g.n
+    for v in order:
+        if parent[v] != -1:
+            depth[v] = depth[parent[v]] + 1
+    return depth
+
+
+def _forest_paths(g: Graph, pairs: Iterable[Edge]) -> Iterator[list[int]]:
+    """For each ``(u, v)`` of ``pairs``, two vertices of one tree of the
+    canonical spanning forest, the forest path from ``u`` to ``v``: it
+    climbs from the deeper end until the ends meet."""
+    parent, depth = g._forest[0], _forest_depth(g)
+    for u, v in pairs:
+        up, down = [u], [v]  # climbs from u, and from v, to their meeting
+        while u != v:
+            if depth[u] >= depth[v]:
+                u = parent[u]
+                up.append(u)
+            else:
+                v = parent[v]
+                down.append(v)
+        down.pop()  # the meeting vertex ends both climbs
+        yield up + down[::-1]
+
+
 def fundamental_cycle(g: Graph, u: int, v: int) -> Cycle:
     """The cycle that the non-forest edge (u, v) closes in the canonical
-    spanning forest: the forest paths from ``u`` and ``v`` to their lowest
-    common ancestor, closed by the edge."""
-    parent = g._forest[0]
-    anc_u = [u]
-    while parent[anc_u[-1]] != -1:
-        anc_u.append(parent[anc_u[-1]])
-    pos = {w: i for i, w in enumerate(anc_u)}
-    path_v = [v]
-    while path_v[-1] not in pos:
-        path_v.append(parent[path_v[-1]])
-    return Cycle(tuple(anc_u[:pos[path_v[-1]]] + path_v[::-1]))
+    spanning forest: the forest path from ``u`` to ``v``, closed by the
+    edge."""
+    if _norm_edge(u, v) not in g._cotree:
+        raise ValueError(f"({u}, {v}) is not a non-forest edge of the graph")
+    return Cycle(tuple(next(_forest_paths(g, [(u, v)]))))
 
 
 def cotree_edges(g: Graph) -> list[Edge]:
@@ -442,8 +481,7 @@ def vertices_on_cycles(g: Graph) -> frozenset[int]:
     """Vertices lying on at least one cycle: those of the fundamental
     cycles. Every edge of a cycle C lies on the fundamental cycle of one of
     C's non-forest edges, since C is the sum of those fundamental cycles."""
-    return frozenset(v for u, w in g._cotree
-                     for v in fundamental_cycle(g, u, w).vertices)
+    return frozenset(v for path in _forest_paths(g, g._cotree) for v in path)
 
 
 def cycles_pairwise_vertex_disjoint(g: Graph):
@@ -459,7 +497,9 @@ def cycles_pairwise_vertex_disjoint(g: Graph):
     once per graph; each call returns a fresh list.
     """
     cycles = g._disjoint_cycles
-    return (False, None) if cycles is None else (True, list(cycles))
+    if cycles is None:
+        return False, None
+    return True, sorted(cycles, key=lambda c: c.vertices)
 
 
 def contract_cycles(g: Graph) -> ContractionTree:

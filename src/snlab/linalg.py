@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapacityError
-from .graphs import Edge, SignedGraph
+from .graphs import Edge, Graph, SignedGraph
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -150,14 +150,20 @@ def nullity(sg: SignedGraph) -> int:
     G - u - v; the rank drops by exactly 2 per pair, whatever the signs, and
     an isolated vertex is a zero row that adds 1 to the nullity.
     """
-    pos, k, isolated = sg.graph.pendant_core
-    negatives = sg.negatives
+    _, k, isolated = sg.graph.pendant_core
+    return isolated + k - rank_exact(_core_rows(sg.graph, sg.negatives))
+
+
+def _core_rows(g: Graph, negatives: frozenset[Edge]) -> list[list[int]]:
+    """The signed adjacency matrix of ``g``'s pendant core, as lists:
+    -1 on the edges of ``negatives``, +1 on the other edges."""
+    pos, k, _ = g.pendant_core
     rows = [[0] * k for _ in range(k)]
-    for e in sg.graph.edges:
+    for e in g.edges:
         i, j = pos[e[0]], pos[e[1]]
         if i >= 0 and j >= 0:
             rows[i][j] = rows[j][i] = -1 if e in negatives else 1
-    return isolated + k - rank_exact(rows)
+    return rows
 
 
 def char_poly_exact(m: IntMatrix, cap: int = CHAR_POLY_VERTEX_CAP) -> tuple[int, ...]:

@@ -16,9 +16,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapacityError, StructureError
-from .graphs import (Cycle, Edge, Graph, _strip_pendants, cycle_space_dim,
+from .graphs import (Cycle, Edge, Graph, cycle_space_dim,
                      cycles_pairwise_vertex_disjoint, delete_vertices,
-                     is_connected, num_components)
+                     is_connected)
 
 BRUTE_FORCE_EDGE_CAP = 24
 
@@ -250,38 +250,10 @@ def contraction_matched(g: Graph) -> bool:
     pairwise vertex-disjoint) and that tree minus its cyclic vertices have
     equal matching numbers; :func:`contract_cycles` is the reference.
 
-    Decided on ``g``'s own adjacency, with no tree built: each cycle
-    contracts to its least vertex and leaves its other vertices without
-    neighbours, which adds the same count to both isolated totals below.
-    The tree is a forest (its distinct edges number ``n - sum(len(C) - 1)``
-    less the components), which strips to nothing, so each matching number
-    is (vertices - isolated) // 2. Emptying the cyclic vertices' lists
-    keeps the vertex count and adds them to the isolated count, so the two
-    numbers are equal exactly when both strippings isolate as many
-    vertices.
+    Decided once per graph, on its own adjacency (see ``Graph._matched``),
+    so the upper-bound predicate and the unicyclic classifier share it.
     """
-    cycles = g._disjoint_cycles
-    if cycles is None:
-        raise StructureError("cycles are not pairwise vertex-disjoint")
-    image = list(range(g.n))
-    for cyc in cycles:
-        for v in cyc.vertices:
-            image[v] = cyc.vertices[0]
-    edges = set()
-    for u, v in g.edges:
-        a, b = image[u], image[v]
-        if a != b:
-            edges.add((a, b) if a < b else (b, a))
-    if len(edges) != g.n - sum(len(c) - 1 for c in cycles) - num_components(g):
-        raise StructureError("contraction did not produce an acyclic graph")
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    cyclic = {cyc.vertices[0] for cyc in cycles}
-    off = [[] if v in cyclic else [w for w in b if w not in cyclic]
-           for v, b in enumerate(adj)]
-    return _strip_pendants(adj)[1] == _strip_pendants(off)[1]
+    return g._matched
 
 
 def even_cycle_matching_equivalence(g: Graph) -> tuple[bool, bool]:

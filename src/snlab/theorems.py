@@ -21,13 +21,13 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .balance import _disagreeing_edge, _sign
+from .balance import _pattern
 from .errors import TheoremViolation
 from .formats import graph6_encode, sgl_dumps
 from .generation import _LinearAction, check_vertex_cap, enumerate_connected
-from .graphs import (Edge, Graph, SignedGraph, cycle_space_dim,
-                     cycles_pairwise_vertex_disjoint, is_connected)
-from .linalg import eliminate_outside, nullity, rank_division_free
+from .graphs import (Edge, Graph, SignedGraph, _forest_depth, cycle_space_dim,
+                     is_connected)
+from .linalg import _core_rows, eliminate_outside, nullity, rank_division_free
 from .matching import contraction_matched, matching_number
 
 
@@ -83,7 +83,7 @@ def invariant_record(sg: SignedGraph, check: bool = True) -> InvariantRecord:
     lower, upper = _bounds(n, m, c)
     eta = nullity(sg)
     rec = InvariantRecord(n=n, m=m, c=c, eta=eta,
-                          balanced=_disagreeing_edge(sg) is None,
+                          balanced=_pattern(sg) == 0,
                           lower=lower, upper=upper, s=upper - eta)
     broken = _broken_laws(eta, lower, upper) if check else []
     if broken:
@@ -91,27 +91,33 @@ def invariant_record(sg: SignedGraph, check: bool = True) -> InvariantRecord:
     return rec
 
 
-def _attaining_sign(length: int) -> Optional[int]:
-    """The sign a cycle of this length needs for the upper bound: +1 for
-    length 0 mod 4, -1 for length 2 mod 4, None for an odd length, which
-    never attains."""
-    return {0: 1, 2: -1}.get(length % 4)
+def _candidate(g: Graph) -> Optional[int]:
+    """The pattern of the one class of ``g`` whose cycles each have the
+    sign the upper bound asks for, or None when no class can attain it.
+
+    A class attains iff ``g`` is connected, its cycles are disjoint, those
+    of length 0 mod 4 positive and those of length 2 mod 4 negative (so
+    none is odd), and its contraction tree is matched, which the caller
+    tests (He et al., LAA 572, 2019). Disjoint cycle ``i`` holds cotree
+    edge ``i`` and no other, so its sign is bit ``i`` of the pattern.
+    """
+    cycles = g._disjoint_cycles if is_connected(g) else None
+    if cycles is None or any(len(cyc) % 2 for cyc in cycles):
+        return None
+    return sum(1 << i for i, cyc in enumerate(cycles) if len(cyc) % 4 == 2)
 
 
 def attains_upper(sg: SignedGraph) -> bool:
     """Structural predicate equivalent to eta = n - 2m + 2c.
 
-    True iff (1) the cycles are pairwise vertex-disjoint, (2) every cycle
-    has length 0 mod 4 with positive sign or length 2 mod 4 with negative
-    sign, and (3) the cycle-contraction tree and that tree minus its cyclic
-    vertices have equal matching numbers. The caller compares against the
+    True iff the class of ``sg`` is :func:`_candidate` and
+    :func:`contraction_matched` holds. The caller compares against the
     independently computed nullity; this function never looks at it.
     """
     if not is_connected(sg.graph):
         raise ValueError("the upper-bound predicate needs a connected graph")
-    ok, cycles = cycles_pairwise_vertex_disjoint(sg.graph)
-    return ok and all(_sign(sg, cyc) == _attaining_sign(len(cyc))
-                      for cyc in cycles) and contraction_matched(sg.graph)
+    t = _candidate(sg.graph)
+    return t is not None and t == _pattern(sg) and contraction_matched(sg.graph)
 
 
 def classify_unicyclic(sg: SignedGraph) -> int:
@@ -125,10 +131,9 @@ def classify_unicyclic(sg: SignedGraph) -> int:
     g = sg.graph
     if not is_connected(g) or cycle_space_dim(g) != 1:
         raise ValueError("expected a connected unicyclic graph")
-    _, (cyc,) = cycles_pairwise_vertex_disjoint(g)
-    # a unicyclic graph is balanced exactly when its one cycle is positive
-    if _sign(sg, cyc) == 1:
+    if _pattern(sg) == 0:
         raise ValueError("expected an unbalanced signature")
+    (cyc,) = g._disjoint_cycles
     q = len(cyc)
     matched = contraction_matched(g)
     if q % 2 == 1 and matched:
@@ -324,27 +329,12 @@ def _pattern_action(g: Graph, cotree: Sequence[Edge]) -> _LinearAction:
                            for u, v in cotree] for p in gens])
 
 
-def _attaining(g: Graph, cotree: Sequence[Edge]) -> Optional[int]:
+def _attaining(g: Graph) -> Optional[int]:
     """The pattern of the one class of ``g`` that attains the upper bound,
-    or None when no class can.
-
-    A class attains iff ``g`` is connected, its cycles are disjoint, its
-    contraction tree is matched and each cycle has the sign
-    :func:`_attaining_sign` asks, which an odd cycle never has (He et al.,
-    LAA 572, 2019). Disjoint cycles each hold exactly one cotree edge, and
-    forest edges are positive, so a cycle's sign is its edge's bit: the
-    pattern has the bits of the cycles that need sign -1.
-    """
-    disjoint, cycles = (cycles_pairwise_vertex_disjoint(g) if is_connected(g)
-                        else (False, None))
-    if not disjoint:
-        return None
-    wanted = [_attaining_sign(len(cyc)) for cyc in cycles]
-    if None in wanted or not contraction_matched(g):
-        return None
-    bit = {e: 1 << i for i, e in enumerate(cotree)}
-    return sum(bit.get(e, 0) for cyc, sign in zip(cycles, wanted) if sign == -1
-               for e in cyc.edge_list())
+    or None when no class can: :func:`_candidate`, when the contraction
+    tree is matched."""
+    t = _candidate(g)
+    return t if t is not None and contraction_matched(g) else None
 
 
 def _etas(g: Graph):
@@ -381,10 +371,7 @@ def _etas(g: Graph):
     size = (1 << len(cotree)) + 1
     etas = bytearray(size) if g.n < 255 else array("L", [0]) * size
     pos, k, isolated = g.pendant_core
-    rows = [[0] * k for _ in range(k)]
-    for u, v in g.edges:
-        if pos[u] >= 0 and pos[v] >= 0:
-            rows[pos[u]][pos[v]] = rows[pos[v]][pos[u]] = 1
+    rows = _core_rows(g, frozenset())
     core_entry = [(pos[u], pos[v]) if pos[u] >= 0 and pos[v] >= 0 else None
                   for u, v in cotree]
     touched: set[int] = set()
@@ -398,11 +385,7 @@ def _etas(g: Graph):
     base = isolated + k
     at = {v: i for i, v in enumerate(inner)}
     action = _pattern_action(g, cotree)
-    parent, order = g._forest
-    depth = [0] * g.n
-    for v in order:
-        if parent[v] != -1:
-            depth[v] = depth[parent[v]] + 1
+    depth = _forest_depth(g)
     odd = sum(1 << j for j, (u, v) in enumerate(cotree)
               if (depth[u] ^ depth[v]) & 1 == 0)
     done = -1  # the last block whose core is eliminated outside inner
@@ -454,7 +437,7 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
     # None on a disconnected graph. Found before the table is built: the
     # other order raised verify --n-max 8's peak RSS from 61.0 to 62.8 MB
     # (2-core Xeon, Python 3.11)
-    attaining = _attaining(g, cotree)
+    attaining = _attaining(g)
     etas = _etas(g)
     counts = {v: etas.count(v) for v in set(etas)}
     counts[0] -= 1  # the sentinel

@@ -17,7 +17,7 @@ from snlab import (Cycle, Graph, SignedGraph, complete_graph, connected_componen
                    num_components, path_graph, pendant_vertices, star_graph,
                    vertices_on_cycles)
 from snlab.errors import StructureError
-from snlab.graphs import _cached, is_cycle_of
+from snlab.graphs import _cached, _forest_paths, fundamental_cycle, is_cycle_of
 from snlab.matching import contraction_matched
 
 from conftest import blocks, connected_graphs_upto
@@ -206,6 +206,45 @@ class TestComponentsAndCycleSpace:
                             queue.append(w)
             assert g._forest == (tuple(parent), tuple(order))
 
+    def test_forest_paths_meet_at_the_lowest_common_ancestor(self):
+        """``_forest_paths`` equals a plain reference, which walks both ends
+        to the root and cuts at their lowest common ancestor: on the random
+        graphs of ``test_forest_is_the_ascending_bfs``, for every cotree
+        edge and for a random pair of vertices in each component."""
+        rng, pick = random.Random(20261019), random.Random(5)
+        for _ in range(300):
+            n = rng.randrange(1, 30)
+            pairs = list(itertools.combinations(range(n), 2))
+            size = rng.randrange(len(pairs) // 4 + 1)
+            g = Graph(n, frozenset(rng.sample(pairs, size)))
+            parent = g._forest[0]
+
+            def to_root(v):
+                walk = [v]
+                while parent[walk[-1]] != -1:
+                    walk.append(parent[walk[-1]])
+                return walk
+
+            ends = list(g._cotree) + [(pick.choice(comp), pick.choice(comp))
+                                      for comp in connected_components(g)]
+            paths = list(_forest_paths(g, ends))
+            assert len(paths) == len(ends)
+            for (u, v), path in zip(ends, paths):
+                up, down = to_root(u), to_root(v)
+                while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+                    up.pop()
+                    down.pop()
+                assert path == up + down[:-1][::-1], (g, u, v)
+
+    def test_fundamental_cycle_needs_a_non_forest_edge(self):
+        """A forest edge, a non-edge and a pair across components close no
+        fundamental cycle; the last used to climb past the root."""
+        g = disjoint_union(cycle_graph(4), path_graph(2))
+        assert fundamental_cycle(g, 3, 2) == Cycle((0, 1, 2, 3))
+        for u, v in ((0, 1), (0, 2), (1, 4)):
+            with pytest.raises(ValueError, match="non-forest edge"):
+                fundamental_cycle(g, u, v)
+
 
 class TestCachedState:
     """``Graph``'s derived state is cached by ``graphs._cached``, a
@@ -361,6 +400,24 @@ class TestDisjointCycles:
             assert cycle_space_dim(g) == cycles
             outcomes[_assert_matches_blocks(g)] += 1
         assert min(outcomes.values()) >= 50
+
+    def test_cycle_orders(self):
+        """``cycles_pairwise_vertex_disjoint`` sorts the cycles by vertices,
+        while ``Graph._disjoint_cycles[i]`` is the cycle through cotree edge
+        ``i``; the two orders differ on some of these graphs."""
+        rng = random.Random(20261019)
+        differ = 0
+        for _ in range(600):
+            g, _ = _disjoint_cycle_graph(rng)
+            ok, cycles = cycles_pairwise_vertex_disjoint(g)
+            by_cotree = g._disjoint_cycles
+            assert ok and set(cycles) == set(by_cotree)
+            assert [c.vertices for c in cycles] == sorted(c.vertices for c in cycles)
+            assert len(by_cotree) == len(g._cotree)
+            for e, cyc in zip(g._cotree, by_cotree):
+                assert e in cyc.edge_list()
+            differ += cycles != list(by_cotree)
+        assert differ >= 100
 
     def test_adjacency_lists_ascend_on_random_graphs(self):
         """``Graph._adj``, built from one sort of the edges, lists each

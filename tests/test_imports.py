@@ -1,5 +1,6 @@
-"""Every imported name is used, in the package and in the tests, the
-package states no check as an ``assert`` and caches nothing with
+"""Every imported name is used, in the package and in the tests, every
+private top-level function and class of the package is read, the package
+states no check as an ``assert`` and caches nothing with
 ``functools.cached_property``, and every name the README's entry points
 list exists.
 
@@ -51,6 +52,41 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """The private top-level functions and classes of the modules
+    ``sources`` that no code of them reads, as a name or an attribute,
+    outside their own definition."""
+    defined, read = set(), set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            owner = None
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_")):
+                owner = stmt.name
+                defined.add(owner)
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != owner:
+                    read.add(name)
+    return sorted(defined - read)
+
+
+def test_the_check_finds_unread_private_names():
+    sources = ["def _dead():\n    return _used()\n"
+               "def _used():\n    return 1\n"
+               "def _recursive(n):\n    return _recursive(n - 1)\n"
+               "class _Box:\n    pass\n"
+               "def _cached(f):\n    return f\n",
+               "import m\n@m._cached\ndef public():\n    return _Box\n"]
+    assert unread_private_names(sources) == ["_dead", "_recursive"]
+
+
+def test_no_unread_private_names_in_the_package():
+    assert unread_private_names(
+        [p.read_text(encoding="utf-8") for p in PACKAGE]) == []
 
 
 def assert_lines(source: str) -> list[int]:

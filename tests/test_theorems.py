@@ -18,6 +18,7 @@ from array import array
 
 import pytest
 
+import snlab.graphs
 from snlab import (
     Cycle,
     FamilyParams,
@@ -46,10 +47,9 @@ from snlab import (
     vertices_on_cycles,
     write_graph6,
 )
-from conftest import (WRONG_NULLITY, complete_bipartite, cube, petersen,
-                      signed_sweep)
-from snlab.balance import (_disagreeing_edge, _sign, cotree_edges, cycle_sign,
-                           is_balanced)
+from conftest import (WRONG_NULLITY, complete_bipartite, connected_graphs_upto,
+                      cube, petersen, signed_sweep)
+from snlab.balance import _pattern, cotree_edges, cycle_sign, is_balanced
 from snlab.cli import _dump_line
 from snlab.formats import graph6_decode
 from snlab.generation import enumerate_connected, enumerate_signatures
@@ -362,6 +362,27 @@ class TestPerRecordPath:
         rec = invariant_record(one)
         assert rec.eta == rec.n - 2 * rec.m - 1
 
+    def test_contraction_test_runs_once_per_graph(self, monkeypatch):
+        """``attains_upper`` and ``classify_unicyclic`` share the verdict
+        kept on the graph: a record that reaches both strips pendants once
+        for the contraction tree and once for the tree off its cycle."""
+        # a negative hexagon with the tail 5-6-7
+        sg = SignedGraph.with_negatives(
+            Graph(8, cycle_graph(6).edges | {(5, 6), (6, 7)}), [(0, 1)])
+        rec = invariant_record(sg)  # strips the pendant core first
+        passes = []
+        strip = snlab.graphs._strip_pendants
+
+        def counting_strip(adj):
+            passes.append(len(adj))
+            return strip(adj)
+
+        monkeypatch.setattr(snlab.graphs, "_strip_pendants", counting_strip)
+        answers = attains_upper(sg), classify_unicyclic(sg)
+        monkeypatch.undo()
+        assert passes == [8, 8]
+        assert answers == (True, 2) and rec.eta == rec.upper
+
     def test_unbalanced_record_builds_no_cycle(self, monkeypatch):
         """``invariant_record`` reads only the balance verdict, so on an
         unbalanced record it builds no ``Cycle`` of evidence."""
@@ -389,32 +410,47 @@ class TestPerRecordPath:
         verdicts = set()
         for sg in signed_upto_5:
             result = is_balanced(sg)
-            edge = _disagreeing_edge(sg)
-            assert (edge is None) == result.balanced == all(
+            t = _pattern(sg)
+            assert (t == 0) == result.balanced == all(
                 cycle_sign(sg, fundamental_cycle(sg.graph, u, v)) == 1
                 for u, v in cotree_edges(sg.graph))
-            if edge is not None:  # the evidence is the cycle the edge closes
+            if t:  # the evidence is the cycle its lowest bit's edge closes
+                edge = cotree_edges(sg.graph)[(t & -t).bit_length() - 1]
                 assert edge in result.negative_cycle.edge_list()
             verdicts.add(result.balanced)
         assert verdicts == {True, False}
 
+    def test_pattern_equals_fundamental_cycle_signs(self):
+        """On every signature of every connected graph with n <= 5, not
+        only the class representatives, ``_pattern`` equals the reference
+        ``pattern_of``; on the representatives it is their index in
+        ``enumerate_signatures``."""
+        for g in connected_graphs_upto(5):
+            edges = g.sorted_edges()
+            for bits in range(1 << len(edges)):
+                sg = SignedGraph(g, {e for i, e in enumerate(edges) if bits >> i & 1})
+                assert _pattern(sg) == pattern_of(sg)
+            assert [_pattern(sg) for sg in enumerate_signatures(g)] == list(
+                range(1 << cycle_space_dim(g)))
+
     def test_fast_paths_equal_references_on_random_records(self):
-        """On random records with n up to 48, the balance verdict equals
-        ``is_balanced`` and the unchecked cycle signs equal ``cycle_sign``,
-        on every fundamental cycle and on every disjoint cycle."""
+        """On random records with n up to 48, the pattern equals
+        ``pattern_of``, its zero test equals ``is_balanced``, and bit ``i``
+        is the ``cycle_sign`` of disjoint cycle ``i``, the cycle through
+        cotree edge ``i``."""
         balanced = disjoint = 0
         for sg in _record_graphs(500, 20261019, n_max=48):
             g = sg.graph
-            verdict = _disagreeing_edge(sg) is None
-            cycles = [fundamental_cycle(g, u, v) for u, v in cotree_edges(g)]
-            assert verdict == is_balanced(sg).balanced == all(
-                cycle_sign(sg, cyc) == 1 for cyc in cycles)
-            balanced += verdict
+            t = _pattern(sg)
+            assert t == pattern_of(sg)
+            assert (t == 0) == is_balanced(sg).balanced
+            balanced += t == 0
             if g._disjoint_cycles:  # None, or the cycles when disjoint
-                cycles += g._disjoint_cycles
                 disjoint += 1
-            for cyc in cycles:
-                assert _sign(sg, cyc) == cycle_sign(sg, cyc)
+                cotree = cotree_edges(g)
+                for i, cyc in enumerate(g._disjoint_cycles):
+                    assert cotree[i] in cyc.edge_list()
+                    assert cycle_sign(sg, cyc) == (-1 if t >> i & 1 else 1)
         assert 50 <= balanced <= 450 and disjoint >= 50
 
 
@@ -697,7 +733,7 @@ class TestClassScan:
     @staticmethod
     def assert_matches_reference(g: Graph) -> None:
         connected, cotree = is_connected(g), cotree_edges(g)
-        etas, attaining = _etas(g), _attaining(g, cotree)
+        etas, attaining = _etas(g), _attaining(g)
         assert len(etas) == (1 << len(cotree)) + 1 and etas[-1] == 0
         for t, sg in enumerate(enumerate_signatures(g)):
             assert sg.negatives == {e for i, e in enumerate(cotree) if t >> i & 1}
@@ -739,6 +775,24 @@ class TestClassScan:
         from an earlier class of their orbit."""
         for g in symmetric_graphs():
             self.assert_matches_reference(g)
+
+    def test_attaining_class_is_the_one_at_the_bound(self, graphs_upto_6):
+        """``_attaining`` and ``attains_upper`` share ``_candidate``, so
+        each is checked against the nullity too: on a connected graph the
+        class they name is exactly the one whose eta is n - 2m + 2c."""
+        attained = 0
+        for g in graphs_upto_6 + symmetric_graphs():
+            connected = is_connected(g)
+            upper = invariant_record(SignedGraph.all_positive(g),
+                                     check=False).upper
+            etas, attaining = _etas(g), _attaining(g)
+            for t, sg in enumerate(enumerate_signatures(g)):
+                at_bound = etas[t] - 1 == upper
+                assert (t == attaining) == (connected and at_bound), (g, t)
+                if connected:
+                    assert attains_upper(sg) == at_bound, (g, t)
+            attained += attaining is not None
+        assert attained >= 10
 
     def test_pattern_action_against_relabeled_signings(self, graphs_upto_6):
         """Each generator's image of each class with one negative cotree
