@@ -69,11 +69,16 @@ def _pattern(sg: SignedGraph) -> int:
     """The pattern of ``sg``'s switching class, its index in
     :func:`snlab.generation.enumerate_signatures`: bit ``i`` is set when the
     sign of cotree edge ``i`` disagrees with :func:`_forest_signing`, i.e.
-    when the fundamental cycle it closes is negative; 0 iff balanced."""
-    mu = _forest_signing(sg)
-    negatives = sg.negatives
-    return sum(1 << i for i, e in enumerate(cotree_edges(sg.graph))
-               if (mu[e[0]] == mu[e[1]]) == (e in negatives))
+    when the fundamental cycle it closes is negative; 0 iff balanced.
+    Computed once per signed graph and kept in its ``__dict__``, as
+    :class:`Graph` keeps its cached state."""
+    cache = vars(sg)
+    if "_pattern" not in cache:
+        mu = _forest_signing(sg)
+        negatives = sg.negatives
+        cache["_pattern"] = sum(1 << i for i, e in enumerate(sg.graph._cotree)
+                                if (mu[e[0]] == mu[e[1]]) == (e in negatives))
+    return cache["_pattern"]
 
 
 def is_balanced(sg: SignedGraph) -> BalanceResult:

@@ -230,18 +230,22 @@ class _LinearAction:
         self.maps = [tuple(_xor_table(u[i:i + w]) for i in (0, w, 2 * w))
                      for u in units]
 
-    def mark_orbit(self, x: int, marks, mark: int) -> None:
-        """Set ``marks[y] = mark`` on the orbit of ``x``, which is unmarked
-        (0) as a whole."""
+    def mark_orbit(self, x: int, marks, mark: int, partner: int) -> None:
+        """Set ``marks[y] = marks[y ^ partner] = mark`` on the orbit of
+        ``x``, which with its XOR by ``partner`` is unmarked (0) as a whole;
+        every permutation must fix ``partner``. Then the XOR by ``partner``
+        maps the orbit onto an orbit, so only ``y`` is walked: an entry
+        marked as a partner is reached again as the partner of its images.
+        """
         w, third = self.w, (1 << self.w) - 1
-        marks[x] = mark
+        marks[x] = marks[x ^ partner] = mark
         todo = [x]
         while todo:
             x = todo.pop()
             for t0, t1, t2 in self.maps:
                 y = t0[x & third] ^ t1[x >> w & third] ^ t2[x >> 2 * w]
                 if not marks[y]:
-                    marks[y] = mark
+                    marks[y] = marks[y ^ partner] = mark
                     todo.append(y)
 
 
@@ -293,7 +297,7 @@ def _connected_catalog(n: int, max_c: Optional[int]) -> tuple[Graph, ...]:
             for nbrs in combinations(range(n - 1), size):
                 mask = sum(1 << v for v in nbrs)
                 if not seen[mask]:
-                    action.mark_orbit(mask, seen, 1)
+                    action.mark_orbit(mask, seen, 1, 0)
                     adj = masks + [mask]
                     for v in nbrs:
                         adj[v] |= 1 << n - 1

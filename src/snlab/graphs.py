@@ -172,11 +172,12 @@ class Graph:
         return automorphism_generators(self)
 
     @_cached
-    def _disjoint_cycles(self) -> Optional[tuple[Cycle, ...]]:
-        """The fundamental cycles, the ``i``-th closed by cotree edge ``i``,
-        or None when two share a vertex (see
-        :func:`cycles_pairwise_vertex_disjoint`); marking stops at the first
-        vertex marked twice, before any :class:`Cycle` is built."""
+    def _disjoint_cycles(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """The fundamental cycles as vertex tuples, the ``i``-th the forest
+        path closed by cotree edge ``i``, or None when two share a vertex
+        (see :func:`cycles_pairwise_vertex_disjoint`, which returns them as
+        :class:`Cycle` objects); marking stops at the first vertex marked
+        twice."""
         marked = [False] * self.n
         paths = []
         for path in _forest_paths(self, self._cotree):
@@ -184,45 +185,54 @@ class Graph:
                 if marked[w]:
                     return None
                 marked[w] = True
-            paths.append(path)
-        return tuple(Cycle(tuple(p)) for p in paths)
+            paths.append(tuple(path))
+        return tuple(paths)
 
     @_cached
     def _matched(self) -> bool:
         """:func:`snlab.matching.contraction_matched`, once per graph.
 
-        Each cycle contracts to its least vertex and leaves its other
-        vertices without neighbours, which adds the same count to both
-        isolated totals below. The tree is a forest (its distinct edges
-        number ``n - sum(len(C) - 1)`` less the components), which strips
-        to nothing, so each matching number is (vertices - isolated) // 2.
-        Emptying the cyclic vertices' lists keeps the vertex count and adds
-        them to the isolated count, so the two numbers are equal exactly
-        when both strippings isolate as many vertices.
+        Each cycle contracts to its first vertex, the image of all its
+        vertices; any other vertex is its own image. The contracted
+        multigraph keeps one edge per edge of the graph between two
+        images, so a doubled edge counts twice: it is a forest exactly when
+        its edges number its vertices, ``n - sum(len(C) - 1)``, less the
+        components. Its edges are then the images of the canonical
+        forest's edges between two images (a cycle holds the forest path
+        it closes), and the forest's reversed BFS order reaches the
+        children of each contracted vertex before its edge to its parent.
+        Matching a vertex to its parent whenever both are free, in that
+        order, gives a maximum matching of a forest; one pass matches the
+        tree and one the tree without its cyclic vertices, held as taken.
         """
         cycles = self._disjoint_cycles
         if cycles is None:
             raise StructureError("cycles are not pairwise vertex-disjoint")
         image = list(range(self.n))
         for cyc in cycles:
-            for v in cyc.vertices:
-                image[v] = cyc.vertices[0]
-        edges = set()
+            for v in cyc:
+                image[v] = cyc[0]
+        edges = 0
         for u, v in self.edges:
-            a, b = image[u], image[v]
-            if a != b:
-                edges.add((a, b) if a < b else (b, a))
-        if len(edges) != (self.n - sum(len(c) - 1 for c in cycles)
-                          - num_components(self)):
+            edges += image[u] != image[v]
+        if edges != (self.n - sum(len(c) - 1 for c in cycles)
+                     - num_components(self)):
             raise StructureError("contraction did not produce an acyclic graph")
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        cyclic = {cyc.vertices[0] for cyc in cycles}
-        off = [[] if v in cyclic else [w for w in b if w not in cyclic]
-               for v, b in enumerate(adj)]
-        return _strip_pendants(adj)[1] == _strip_pendants(off)[1]
+        parent, order = self._forest
+        sizes = []
+        for taken in ((), [cyc[0] for cyc in cycles]):
+            free = [True] * self.n
+            for a in taken:
+                free[a] = False
+            size = 0
+            for v in reversed(order):
+                if parent[v] != -1:
+                    a, b = image[v], image[parent[v]]
+                    if a != b and free[a] and free[b]:
+                        free[a] = free[b] = False
+                        size += 1
+            sizes.append(size)
+        return sizes[0] == sizes[1]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -499,7 +509,7 @@ def cycles_pairwise_vertex_disjoint(g: Graph):
     cycles = g._disjoint_cycles
     if cycles is None:
         return False, None
-    return True, sorted(cycles, key=lambda c: c.vertices)
+    return True, sorted((Cycle(c) for c in cycles), key=lambda c: c.vertices)
 
 
 def contract_cycles(g: Graph) -> ContractionTree:

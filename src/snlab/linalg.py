@@ -148,9 +148,13 @@ def nullity(sg: SignedGraph) -> int:
     u is +-e_v for its neighbour v, and column u likewise, so clearing row
     and column v with them leaves the 2x2 block of u, v beside the matrix of
     G - u - v; the rank drops by exactly 2 per pair, whatever the signs, and
-    an isolated vertex is a zero row that adds 1 to the nullity.
+    an isolated vertex is a zero row that adds 1 to the nullity. A graph
+    whose core is empty, as most sparse graphs' is, builds no matrix: its
+    nullity is the number of isolated vertices.
     """
     _, k, isolated = sg.graph.pendant_core
+    if k == 0:
+        return isolated
     return isolated + k - rank_exact(_core_rows(sg.graph, sg.negatives))
 
 

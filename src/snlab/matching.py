@@ -250,8 +250,9 @@ def contraction_matched(g: Graph) -> bool:
     pairwise vertex-disjoint) and that tree minus its cyclic vertices have
     equal matching numbers; :func:`contract_cycles` is the reference.
 
-    Decided once per graph, on its own adjacency (see ``Graph._matched``),
-    so the upper-bound predicate and the unicyclic classifier share it.
+    Decided once per graph, on its own canonical forest (see
+    ``Graph._matched``), so the upper-bound predicate and the unicyclic
+    classifier share it.
     """
     return g._matched
 

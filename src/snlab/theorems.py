@@ -363,9 +363,11 @@ def _etas(g: Graph):
     ranked, the next one being the next pattern whose entry is still 0 (the
     sentinel ends the search). Its eta goes to its orbit under
     ``g.automorphisms`` (from five cotree edges on, see
-    :func:`_pattern_action`) and to that of its negation ``t ^ odd``:
-    ``odd`` has the bits of the odd fundamental cycles, the cotree edges
-    whose ends have depths of equal parity in the forest.
+    :func:`_pattern_action`) and to that of its negation ``t ^ odd``, in
+    one pass: ``odd`` has the bits of the odd fundamental cycles, the
+    cotree edges whose ends have depths of equal parity in the forest. It
+    is the class of the all-negative signature, which every automorphism
+    fixes, so the negation maps orbits onto orbits.
     """
     cotree = g._cotree
     size = (1 << len(cotree)) + 1
@@ -406,9 +408,7 @@ def _etas(g: Graph):
             done = t >> low
             pivots, residual, scale = eliminate_outside(rows, inner)
         eta = base - pivots - rank_division_free(residual)
-        action.mark_orbit(t, etas, eta + 1)
-        if not etas[t ^ odd]:
-            action.mark_orbit(t ^ odd, etas, eta + 1)
+        action.mark_orbit(t, etas, eta + 1, odd)
         t, last = etas.index(0, t + 1), t
     return etas
 

@@ -403,20 +403,23 @@ class TestDisjointCycles:
 
     def test_cycle_orders(self):
         """``cycles_pairwise_vertex_disjoint`` sorts the cycles by vertices,
-        while ``Graph._disjoint_cycles[i]`` is the cycle through cotree edge
-        ``i``; the two orders differ on some of these graphs."""
+        while ``Graph._disjoint_cycles[i]`` is the forest path closed by
+        cotree edge ``i``, a vertex tuple from one end of the edge to the
+        other; the two orders differ on some of these graphs."""
         rng = random.Random(20261019)
         differ = 0
         for _ in range(600):
             g, _ = _disjoint_cycle_graph(rng)
             ok, cycles = cycles_pairwise_vertex_disjoint(g)
-            by_cotree = g._disjoint_cycles
+            paths = g._disjoint_cycles
+            by_cotree = [Cycle(path) for path in paths]
             assert ok and set(cycles) == set(by_cotree)
             assert [c.vertices for c in cycles] == sorted(c.vertices for c in cycles)
             assert len(by_cotree) == len(g._cotree)
-            for e, cyc in zip(g._cotree, by_cotree):
+            for e, path, cyc in zip(g._cotree, paths, by_cotree):
+                assert type(path) is tuple and (path[0], path[-1]) == e
                 assert e in cyc.edge_list()
-            differ += cycles != list(by_cotree)
+            differ += cycles != by_cotree
         assert differ >= 100
 
     def test_adjacency_lists_ascend_on_random_graphs(self):
@@ -561,6 +564,17 @@ class TestContraction:
     def test_theta_rejected(self):
         with pytest.raises(StructureError):
             contract_cycles(theta_graph())
+
+    def test_contraction_check_counts_a_doubled_edge(self):
+        """``contraction_matched`` counts the contracted edges with their
+        multiplicity: given the triangle 0-1-2 as the only cycle, the edges
+        0-3 and 1-3 both become 0-3, a cycle of length 2 in the contracted
+        multigraph, which a set of its edges would hide."""
+        g = Graph(4, cycle_graph(3).edges | {(0, 3), (1, 3)})
+        vars(g)["_disjoint_cycles"] = ((0, 1, 2),)
+        with pytest.raises(StructureError, match="acyclic"):
+            contraction_matched(g)
+        assert Graph(4, g.edges)._disjoint_cycles is None
 
     def test_vertex_count_shrinks_by_cycle_lengths(self):
         for g in connected_graphs_upto(7):

@@ -9,6 +9,7 @@ and error paths.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -39,9 +40,12 @@ from snlab import (
     induced_subgraph,
     invariant_record,
     nullity,
+    num_components,
     path_graph,
     pendant_vertices,
+    rank_exact,
     read_graph6,
+    signed_adjacency,
     slack_coverage,
     unicyclic_case,
     vertices_on_cycles,
@@ -52,8 +56,8 @@ from conftest import (WRONG_NULLITY, complete_bipartite, connected_graphs_upto,
 from snlab.balance import _pattern, cotree_edges, cycle_sign, is_balanced
 from snlab.cli import _dump_line
 from snlab.formats import graph6_decode
-from snlab.generation import enumerate_connected, enumerate_signatures
-from snlab.graphs import fundamental_cycle, is_connected
+from snlab.generation import canonical_form, enumerate_connected, enumerate_signatures
+from snlab.graphs import _forest_depth, fundamental_cycle, is_connected
 from snlab.linalg import rank_division_free
 from snlab.matching import contraction_matched
 from snlab.theorems import CampaignReport, _attaining, _etas, _pattern_action
@@ -304,6 +308,57 @@ def _record_graphs(count: int, seed: int, n_max: int = 40) -> list[SignedGraph]:
     return out
 
 
+def _assert_forest_facts(sg: SignedGraph) -> None:
+    """What the per-record queries read off the canonical forest, and the
+    class pattern kept on the signed graph, against plain references: each
+    depth walked up ``parent``, the cotree as the edges left when the
+    forest's are removed, the component count by union-find over the
+    edges, an empty core's nullity by Bareiss on the whole matrix, and
+    ``pattern_of``."""
+    g = sg.graph
+    parent = g._forest[0]
+    depth = _forest_depth(g)
+    for v in range(g.n):
+        u, walk = v, 0
+        while parent[u] != -1:
+            u, walk = parent[u], walk + 1
+        assert depth[v] == walk, (g, v)
+    forest = {(min(v, p), max(v, p)) for v, p in enumerate(parent) if p != -1}
+    assert g._cotree == tuple(sorted(g.edges - forest)), g
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        root[find(u)] = find(v)
+    roots = sum(find(v) == v for v in range(g.n))
+    assert num_components(g) == roots == parent.count(-1)
+    assert cycle_space_dim(g) == len(g.edges) - g.n + roots
+    if g.pendant_core[1] == 0:
+        assert nullity(sg) == g.n - rank_exact(signed_adjacency(sg)), sg
+    t = _pattern(sg)
+    assert vars(sg)["_pattern"] == t == pattern_of(sg) == _pattern(sg), sg
+
+
+def _graphs_upto_6_relabelled(rng: random.Random):
+    """Every graph with at most 6 vertices up to isomorphism, the disjoint
+    unions of connected ones, each under a random relabelling."""
+    catalog = list(connected_graphs_upto(6))
+
+    def unions(start: int, acc: Graph):
+        label = list(range(acc.n))
+        rng.shuffle(label)
+        yield Graph(acc.n, frozenset((label[u], label[v]) for u, v in acc.edges))
+        for i in range(start, len(catalog)):
+            if acc.n + catalog[i].n <= 6:
+                yield from unions(i, disjoint_union(acc, catalog[i]))
+
+    return list(unions(0, Graph(0)))
+
+
 class TestPerRecordPath:
     """The per-record queries behind ``snlab invariants``/``classify`` on
     graphs far past the exhaustive sizes."""
@@ -327,6 +382,23 @@ class TestPerRecordPath:
         body = json.dumps(answers, separators=(",", ":"))
         assert hashlib.sha256(body.encode()).hexdigest() == (
             "0e66e11601a8743e1de3f8f248c393bb4829e82d34bc1e4517eb6101c369495b")
+
+    def test_record_answers_are_pinned_up_to_48_vertices(self):
+        """The full answers of the per-record queries, the record's dict,
+        ``attains_upper`` and the unicyclic offset, on 300 records with 12
+        to 48 vertices, most with an empty pendant core; the digest was
+        taken before the cached class pattern and the vertex-tuple cycles."""
+        answers = []
+        for sg in _record_graphs(300, 20261021, n_max=48):
+            rec = invariant_record(sg)
+            offset = (classify_unicyclic(sg) if rec.c == 1 and not rec.balanced
+                      else None)
+            answers.append([rec.to_json_dict(), attains_upper(sg), offset])
+        assert sum(a[1] for a in answers) >= 30
+        assert sum(a[2] is not None for a in answers) >= 10
+        body = json.dumps(answers, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "0798af2c4b9f491c0b95173edfe12a53348c0e24c212909f1466a9598a2fe6c0")
 
     def test_no_graph_is_built(self, monkeypatch):
         """``attains_upper`` and ``classify_unicyclic`` decide the
@@ -364,32 +436,50 @@ class TestPerRecordPath:
 
     def test_contraction_test_runs_once_per_graph(self, monkeypatch):
         """``attains_upper`` and ``classify_unicyclic`` share the verdict
-        kept on the graph: a record that reaches both strips pendants once
-        for the contraction tree and once for the tree off its cycle."""
+        kept on the graph: a record that reaches both decides the
+        contraction test once, on the canonical forest, without stripping
+        pendants again."""
         # a negative hexagon with the tail 5-6-7
         sg = SignedGraph.with_negatives(
             Graph(8, cycle_graph(6).edges | {(5, 6), (6, 7)}), [(0, 1)])
         rec = invariant_record(sg)  # strips the pendant core first
-        passes = []
+        passes, decided = [], []
         strip = snlab.graphs._strip_pendants
+        matched = vars(Graph)["_matched"]
+        decide = matched.func
 
         def counting_strip(adj):
             passes.append(len(adj))
             return strip(adj)
 
+        @functools.wraps(decide)  # the cache keys the entry by this name
+        def counting_decide(g):
+            decided.append(g)
+            return decide(g)
+
         monkeypatch.setattr(snlab.graphs, "_strip_pendants", counting_strip)
+        monkeypatch.setattr(matched, "func", counting_decide)
         answers = attains_upper(sg), classify_unicyclic(sg)
         monkeypatch.undo()
-        assert passes == [8, 8]
+        assert passes == [] and len(decided) == 1 and decided[0] is sg.graph
         assert answers == (True, 2) and rec.eta == rec.upper
 
     def test_unbalanced_record_builds_no_cycle(self, monkeypatch):
         """``invariant_record`` reads only the balance verdict, so on an
-        unbalanced record it builds no ``Cycle`` of evidence."""
+        unbalanced record it builds no ``Cycle`` of evidence;
+        ``attains_upper`` and ``classify_unicyclic`` read the disjoint
+        cycles as vertex tuples, so they build none either."""
         # K4 with one negative edge, so two of its triangles are negative,
         # and a tail
         k4 = SignedGraph.with_negatives(
             Graph(6, complete_graph(4).edges | {(3, 4), (4, 5)}), [(0, 1)])
+        # a negative triangle with a tail; a positive square and a negative
+        # hexagon joined through vertex 4 (see test_no_graph_is_built)
+        one = SignedGraph.with_negatives(
+            Graph(5, cycle_graph(3).edges | {(2, 3), (3, 4)}), [(0, 1)])
+        two = SignedGraph.with_negatives(Graph(14, cycle_graph(4).edges | {
+            (6, 7), (7, 8), (8, 9), (9, 10), (10, 11), (6, 11),
+            (0, 4), (4, 5), (4, 6), (6, 12), (12, 13)}), [(6, 7)])
         built = []
         post_init = Cycle.__post_init__
 
@@ -399,8 +489,11 @@ class TestPerRecordPath:
 
         monkeypatch.setattr(Cycle, "__post_init__", counting_post_init)
         rec = invariant_record(k4)
+        answers = (attains_upper(k4), attains_upper(one), classify_unicyclic(one),
+                   attains_upper(two))
         monkeypatch.undo()
         assert built == [] and not rec.balanced
+        assert answers == (False, False, -1, True)
         assert not is_balanced(k4).balanced
 
     def test_balance_verdict_equals_is_balanced_on_small_signatures(
@@ -448,10 +541,35 @@ class TestPerRecordPath:
             if g._disjoint_cycles:  # None, or the cycles when disjoint
                 disjoint += 1
                 cotree = cotree_edges(g)
-                for i, cyc in enumerate(g._disjoint_cycles):
+                for i, path in enumerate(g._disjoint_cycles):
+                    cyc = Cycle(path)
                     assert cotree[i] in cyc.edge_list()
                     assert cycle_sign(sg, cyc) == (-1 if t >> i & 1 else 1)
         assert 50 <= balanced <= 450 and disjoint >= 50
+
+    def test_forest_facts_equal_references_on_small_graphs(self):
+        """See ``_assert_forest_facts``: on every graph with n <= 6,
+        relabelled at random, with a random signature and the all-negative
+        one."""
+        rng = random.Random(20261020)
+        graphs = _graphs_upto_6_relabelled(rng)
+        # 1, 1, 2, 4, 11, 34 and 156 graphs on 0 to 6 vertices
+        assert len(graphs) == len(set(map(canonical_form, graphs))) == 209
+        for g in graphs:
+            edges = g.sorted_edges()
+            for negatives in ([e for e in edges if rng.random() < 0.5], edges):
+                _assert_forest_facts(SignedGraph(g, frozenset(negatives)))
+        assert sum(g.pendant_core[1] == 0 for g in graphs) >= 20
+        assert sum(num_components(g) > 1 for g in graphs) >= 50
+
+    def test_forest_facts_equal_references_on_random_records(self):
+        """See ``_assert_forest_facts``: on the records of
+        ``test_fast_paths_equal_references_on_random_records``, most of
+        them with an empty pendant core."""
+        records = _record_graphs(500, 20261019, n_max=48)
+        for sg in records:
+            _assert_forest_facts(sg)
+        assert sum(sg.graph.pendant_core[1] == 0 for sg in records) >= 300
 
 
 class TestPendantReduction:
