@@ -141,7 +141,7 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     group found before it, so there are at most ``n - 1``: K_n gets ``n -
     1`` transpositions.
     """
-    n, nbrs = g.n, [g.neighbors(v) for v in range(g.n)]
+    n, nbrs = g.n, g._adj
     colors = _refine_colors(nbrs)
     adj = [sum(1 << w for w in a) for a in nbrs]
     cells: dict[int, list[int]] = {}

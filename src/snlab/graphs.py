@@ -9,7 +9,7 @@ and safe to share between workers; all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import StructureError
 
@@ -103,16 +103,23 @@ class Graph:
         return cls(n, frozenset(edges))
 
     @_cached
-    def _adj(self) -> tuple[tuple[int, ...], ...]:
+    def _adj(self) -> tuple[Sequence[int], ...]:
         """Ascending neighbour lists, each sorted on its own: short lists
-        of integers sort faster than the edge tuples."""
+        of integers sort faster than the edge tuples.
+
+        Each list is ``bytes`` when every vertex fits in a byte (n <= 256),
+        a tuple otherwise. Bytes hold no references, so the garbage
+        collector neither tracks nor counts them: a graph kept with its
+        cached state adds one collectable object here instead of n + 1,
+        and a batch of graphs triggers a few collections instead of one
+        every couple of dozen graphs."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
         for b in nbrs:
             b.sort()
-        return tuple(map(tuple, nbrs))
+        return tuple(map(bytes if self.n <= 256 else tuple, nbrs))
 
     @_cached
     def _forest(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -235,7 +242,7 @@ class Graph:
         return sizes[0] == sizes[1]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(self._adj[v])
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import CapacityError, StructureError
 from .graphs import (Cycle, Edge, Graph, cycle_space_dim,
@@ -49,7 +50,7 @@ class Matching:
 # ---------------------------------------------------------------------------
 # blossom algorithm (fast path)
 
-def _blossom_pairs(adj: tuple[tuple[int, ...], ...]) -> list[int]:
+def _blossom_pairs(adj: Sequence[Sequence[int]]) -> list[int]:
     """Maximum matching as a partner array (-1 for exposed vertices)."""
     n = len(adj)
     match = [-1] * n

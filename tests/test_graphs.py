@@ -3,6 +3,7 @@ spanning forest (checked against the block decomposition of the tests'
 conftest), contraction, pendant cores."""
 
 import dataclasses
+import gc
 import itertools
 import pickle
 import random
@@ -435,6 +436,37 @@ class TestDisjointCycles:
             assert all(list(b) == sorted(set(b)) for b in adj)
             assert sum(map(len, adj)) == 2 * len(edges)
             assert {(v, w) for v, b in enumerate(adj) for w in b if v < w} == edges
+
+    def test_adjacency_lists_are_untracked_bytes_up_to_256_vertices(self):
+        """Up to 256 vertices each neighbour list is ``bytes``, which the
+        garbage collector does not track, so the cached adjacency is one
+        tracked object; beyond, tuples. ``neighbors`` is a tuple either
+        way."""
+        for n in (3, 256, 257):
+            g = cycle_graph(n)
+            kind = bytes if n <= 256 else tuple
+            assert all(type(b) is kind for b in g._adj)
+            if kind is bytes:
+                assert not any(gc.is_tracked(b) for b in g._adj)
+            assert g.neighbors(n - 1) == (0, n - 2)
+            assert all(type(g.neighbors(v)) is tuple for v in range(n))
+
+    def test_byte_and_tuple_adjacency_give_the_same_structure(self):
+        """A random graph on 256 vertices (bytes) and the same edges with an
+        isolated 257th vertex (tuples) have the same neighbour lists,
+        forest, cotree, pendant core and matching number."""
+        rng = random.Random(20261020)
+        for _ in range(100):
+            m = rng.randrange(200, 320)
+            edges = frozenset(tuple(sorted(rng.sample(range(256), 2)))
+                              for _ in range(m))
+            small, big = Graph(256, edges), Graph(257, edges)
+            assert [tuple(b) for b in small._adj] == list(big._adj[:256])
+            assert small._forest[0] == big._forest[0][:256]
+            assert small._cotree == big._cotree
+            pos, k, isolated = small.pendant_core
+            assert big.pendant_core == (pos + (-1,), k, isolated + 1)
+            assert matching_number(small) == matching_number(big)
 
 
 def _disjoint_cycle_graph(rng):
