@@ -10,10 +10,9 @@ that makes everything positive, or a concrete negative cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .graphs import (Cycle, SignedGraph, cotree_edges, fundamental_cycle,
-                     is_cycle_of)
+from .graphs import Cycle, SignedGraph, fundamental_cycle, is_cycle_of
 
 
 def cycle_sign(sg: SignedGraph, c: Cycle) -> int:
@@ -81,6 +80,13 @@ def _pattern(sg: SignedGraph) -> int:
     return cache["_pattern"]
 
 
+def _at_bits(seq: Sequence, t: int) -> list:
+    """The entries of the cotree-indexed ``seq`` at the set bits of ``t``,
+    the inverse of :func:`_pattern` and its one map to edges: on ``g._cotree``,
+    the negatives of class ``t``'s representative with a positive forest."""
+    return [x for i, x in enumerate(seq) if t >> i & 1]
+
+
 def is_balanced(sg: SignedGraph) -> BalanceResult:
     """Decide balance, returning verified evidence: the signs propagated
     over the canonical spanning forest switch every edge positive, or the
@@ -88,18 +94,17 @@ def is_balanced(sg: SignedGraph) -> BalanceResult:
     cycle of sign -1."""
     t = _pattern(sg)
     if t:
-        u, v = cotree_edges(sg.graph)[(t & -t).bit_length() - 1]
+        (u, v), = _at_bits(sg.graph._cotree, t & -t)
         return BalanceResult(False, None, fundamental_cycle(sg.graph, u, v))
     return BalanceResult(True, tuple(_forest_signing(sg)), None)
 
 
 def canonical_signature(sg: SignedGraph) -> SignedGraph:
-    """Switching-equivalent representative with all forest edges positive.
-
-    Two signed graphs on the same underlying graph are switching-equivalent
-    iff their canonical signatures are equal: the surviving negative edges
-    sit on non-forest edges and encode exactly the signs of the fundamental
-    cycles, which switching preserves.
+    """Switching-equivalent representative with all forest edges positive,
+    the one :func:`snlab.generation.enumerate_signatures` builds: its
+    negative edges, :func:`_at_bits` of the cotree and :func:`_pattern`, hold
+    the signs of the fundamental cycles, so two signed graphs on one graph
+    are switching-equivalent iff their canonical signatures are equal.
     """
-    mu = _forest_signing(sg)
-    return switch(sg, [v for v in range(sg.n) if mu[v] == -1])
+    g = sg.graph
+    return SignedGraph(g, frozenset(_at_bits(g._cotree, _pattern(sg))))

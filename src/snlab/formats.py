@@ -22,6 +22,7 @@ from .errors import ParseError
 from .graphs import Edge, Graph, SignedGraph
 
 _G6_HEADER = ">>graph6<<"
+_MAX_N = 258047  # the largest vertex count graph6 encodes, and .sgl accepts
 
 
 def _g6_size_bytes(n: int) -> str:
@@ -29,7 +30,7 @@ def _g6_size_bytes(n: int) -> str:
         raise ValueError("vertex count must be nonnegative")
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
+    if n <= _MAX_N:
         return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     raise ValueError(f"graph6 size {n} not supported")
 
@@ -64,7 +65,7 @@ def graph6_decode(line: str, lineno: int | None = None) -> Graph:
     pos = 0
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
-            raise ParseError("graph6 sizes above 258047 not supported", lineno)
+            raise ParseError(f"graph6 sizes above {_MAX_N} not supported", lineno)
         if len(s) < 4:
             raise ParseError("truncated graph6 size", lineno)
         n = 0
@@ -153,7 +154,10 @@ def sgl_loads(text: str) -> list[SignedGraph]:
             if len(parts) != 1 or not parts[0].isdigit():
                 raise ParseError(f"expected a vertex count, got {raw.strip()!r}",
                                  lineno)
-            n = int(parts[0])
+            digits = parts[0].lstrip("0") or "0"  # int() refuses over 4,300 digits
+            if len(digits) > 6 or int(digits) > _MAX_N:
+                raise ParseError(f"vertex count above {_MAX_N}", lineno)
+            n = int(digits)
             continue
         if len(parts) != 3:
             raise ParseError(f"expected 'u v sign', got {raw.strip()!r}", lineno)

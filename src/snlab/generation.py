@@ -36,6 +36,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Optional
 
+from .balance import _at_bits
 from .errors import CapacityError
 from .graphs import Graph, SignedGraph, cycle_space_dim
 
@@ -332,11 +333,11 @@ def enumerate_signatures(g: Graph) -> Iterator[SignedGraph]:
     """One signature per switching class, all-positive first.
 
     Forest edges are pinned positive; the ``i``-th non-forest edge (sorted)
-    is negative exactly when bit ``i`` of the pattern index is set. Only the
+    is negative exactly when bit ``i`` of the pattern index is set, as
+    :func:`snlab.balance._at_bits` maps a pattern to its edges. Only the
     first (all-positive) signature is balanced: any negative non-forest
     edge closes a negative fundamental cycle with the positive forest.
     """
     free = g._cotree
     for pattern in range(1 << len(free)):
-        yield SignedGraph(g, frozenset(
-            e for i, e in enumerate(free) if (pattern >> i) & 1))
+        yield SignedGraph(g, frozenset(_at_bits(free, pattern)))

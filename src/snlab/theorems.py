@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .balance import _pattern
+from .balance import _at_bits, _pattern
 from .errors import TheoremViolation
 from .formats import graph6_encode, sgl_dumps
 from .generation import _LinearAction, check_vertex_cap, enumerate_connected
@@ -49,9 +49,7 @@ class InvariantRecord:
     s: int
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "m": self.m, "c": self.c, "eta": self.eta,
-                "balanced": self.balanced, "lower": self.lower,
-                "upper": self.upper, "s": self.s}
+        return dict(vars(self))
 
 
 def _dump_line(obj) -> str:
@@ -342,9 +340,8 @@ def _etas(g: Graph):
     pattern, then a sentinel 0: a bytearray, or an ``array("L")`` from 255
     vertices on.
 
-    Pattern ``t`` stands for the class whose negative edges are the cotree
-    edges ``cotree_edges(g)[i]`` of the set bits ``i`` of ``t``, the
-    representative :func:`enumerate_signatures` builds in the same order.
+    Pattern ``t`` stands for the class whose negative edges are
+    ``_at_bits(g._cotree, t)``, as :func:`enumerate_signatures` builds it.
 
     The nullity is ``isolated + k - rank`` of the ``k x k`` pendant core,
     as in :func:`nullity`. From one ranked pattern to the next the bits
@@ -424,10 +421,10 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
     ``eta == upper`` on every class whose eta is not the upper bound, but
     the attaining one, where it agrees iff its eta is. The classes are
     walked in pattern order only to emit their lines, or when a count
-    shows a broken law or a disagreement, to give each such class its row.
-    An emitted line is ``_dump_line`` of the class's row: the row is
-    dumped once per graph with placeholders, and each class fills in its
-    ``eta``, ``s`` and negative cotree edges.
+    shows a broken law or a disagreement, to give each such class its row,
+    which one local function builds. An emitted line is ``_dump_line`` of
+    the row: dumped once per graph with placeholders, each class fills in
+    its ``eta``, ``s`` and the text of the cotree edges :func:`_at_bits` picks.
     """
     n, m, c = g.n, matching_number(g), cycle_space_dim(g)
     lower, upper = _bounds(n, m, c)
@@ -460,15 +457,14 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
         return ""
     g6 = graph6_encode(g)
     lines: list[str] = []
+    def row(eta, s, balanced, negatives) -> dict:  # a class's row
+        return {"graph6": g6, "negatives": negatives, **InvariantRecord(
+            n, m, c, eta, balanced, lower, upper, s).to_json_dict()}
     if emit:
         # the row dumped with placeholders, as format strings whose fields
         # {0}, {1}, {2} are a class's eta, s and negatives; one per balance
         # (forest edges are positive, so only pattern 0 is balanced)
-        rec = InvariantRecord(n=n, m=m, c=c, eta=0, balanced=False,
-                              lower=lower, upper=upper, s=0)
-        line = _dump_line({"graph6": g6, **rec.to_json_dict(), "eta": "\0eta",
-                           "s": "\0s", "negatives": ["\0negatives"],
-                           "balanced": "\0balanced"})
+        line = _dump_line(row("\0eta", "\0s", "\0balanced", ["\0negatives"]))
         line = line.replace("{", "{{").replace("}", "}}")
         for i, key in enumerate(("eta", "s", "negatives")):
             line = line.replace(json.dumps("\0" + key), f"{{{i}}}")
@@ -479,21 +475,16 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
         eta = etas[t] - 1
         s = upper - eta
         if emit:
-            negatives = ",".join([p for i, p in enumerate(pieces) if t >> i & 1])
+            negatives = ",".join(_at_bits(pieces, t))
             lines.append(templates[t == 0].format(eta, s, negatives))
         predicate = t == attaining
         disagrees = connected and predicate != (eta == upper)
         if eta in bad or disagrees:
-            rec = InvariantRecord(n=n, m=m, c=c, eta=eta, balanced=t == 0,
-                                  lower=lower, upper=upper, s=s)
-            row = {"graph6": g6,
-                   "negatives": [list(e) for i, e in enumerate(cotree)
-                                 if t >> i & 1],
-                   **rec.to_json_dict()}
-            report.violations.extend({"kind": kind, **row}
+            r = row(eta, s, t == 0, [list(e) for e in _at_bits(cotree, t)])
+            report.violations.extend({"kind": kind, **r}
                                      for kind in _broken_laws(eta, lower, upper))
             if disagrees:
-                up["disagreements"].append({"predicate": predicate, **row})
+                up["disagreements"].append({"predicate": predicate, **r})
     return "".join(lines)
 
 

@@ -23,11 +23,13 @@ from snlab import (
     cycle_sign,
     cycle_space_dim,
     is_balanced,
+    is_connected,
     nullity,
     path_graph,
     signed_adjacency,
     switch,
 )
+from snlab.balance import _forest_signing, _pattern
 from conftest import connected_graphs_upto
 
 
@@ -222,6 +224,32 @@ class TestCanonicalSignature:
             c4, [(0, 1)]))
         assert balanced == canonical_signature(SignedGraph.all_positive(c4))
         assert balanced != unbalanced
+
+    def test_is_the_signature_switched_at_the_forest_signing(self):
+        """Every signature of every connected graph with n <= 5, and seeded
+        random graphs, some disconnected: the representative is the
+        signature switched where the forest signing is -1, and keeps the
+        pattern of its class."""
+        sigs = []
+        for g in connected_graphs_upto(5):
+            edge_list = g.sorted_edges()
+            sigs += [SignedGraph(g, frozenset(
+                e for i, e in enumerate(edge_list) if bits >> i & 1))
+                for bits in range(1 << len(edge_list))]
+        assert len(sigs) == 3247
+        rng = random.Random(2744)
+        for _ in range(300):
+            n = rng.randrange(1, 10)
+            edges = frozenset(e for e in itertools.combinations(range(n), 2)
+                              if rng.random() < 0.3)
+            sigs.append(SignedGraph(Graph(n, edges), frozenset(
+                e for e in edges if rng.random() < 0.5)))
+        assert sum(not is_connected(sg.graph) for sg in sigs) > 100
+        for sg in sigs:
+            mu = _forest_signing(sg)
+            canon = canonical_signature(sg)
+            assert canon == switch(sg, [v for v in range(sg.n) if mu[v] == -1])
+            assert _pattern(canon) == _pattern(sg)
 
     def test_exhaustive_class_equality(self):
         """Canonical signatures agree exactly when the signatures are

@@ -67,6 +67,15 @@ class TestInvariantsCommand:
         bad.write_text("2\n0 1 *\n")
         assert main(["invariants", str(bad)]) == 4
 
+    def test_vertex_count_too_large(self, tmp_path, capsys):
+        """Parsing fails before a graph of 10**11 vertices is allocated."""
+        bad = tmp_path / "big.sgl"
+        bad.write_text("100000000000\n")
+        assert bad.stat().st_size == 13
+        assert main(["invariants", str(bad)]) == 4
+        assert capsys.readouterr().err == (
+            "parse error: line 1: vertex count above 258047\n")
+
 
 class TestClassifyCommand:
     def test_agreement_lines(self, tmp_path, capsys):

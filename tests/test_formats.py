@@ -103,8 +103,9 @@ class TestGraph6Errors:
     def test_truncated_long_size(self):
         with pytest.raises(ParseError):
             graph6_decode("~AB")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             graph6_decode("~~AAACAB")
+        assert str(exc.value) == "graph6 sizes above 258047 not supported"
 
 
 class TestGraph6Files:
@@ -213,6 +214,18 @@ class TestSglErrors:
         with pytest.raises(ParseError) as exc:
             sgl_loads("3\n0 1 +\n0 1 -\n")
         assert exc.value.line == 3
+
+    def test_vertex_count_limit(self):
+        """Counts above graph6's limit are rejected at their line, before
+        a graph is built, and so are counts too long for ``int``."""
+        with pytest.raises(ParseError) as exc:
+            sgl_loads("258048\n")
+        assert str(exc.value) == "line 1: vertex count above 258047"
+        with pytest.raises(ParseError) as exc:
+            sgl_loads("1\n\n" + "9" * 5000 + "\n")
+        assert exc.value.line == 3
+        assert [sg.n for sg in sgl_loads("258047\n\n" + "0" * 5000 + "2\n")] == [
+            258047, 2]
 
     def test_non_ascii_digits(self):
         # str.isdigit accepts these, int() rejects or converts them

@@ -1,11 +1,12 @@
-"""Every imported name is used, in the package and in the tests, every
-private top-level function and class of the package is read, the package
-states no check as an ``assert`` and caches nothing with
-``functools.cached_property``, and every name the README's entry points
-list exists.
+"""Every imported name is used, in the package and in the tests, and is
+imported from the module that defines it, every private top-level function
+and class of the package is read, the package states no check as an
+``assert`` and caches nothing with ``functools.cached_property``, and every
+name the README's entry points list exists.
 
 Static checks with the standard library's ``ast``. ``snlab/__init__.py``
-is left out of the first, because it imports names only to re-export them.
+is left out of the first, because it imports names only to re-export them,
+and ``from snlab import`` is left out of the second for the same reason.
 ``python -O`` strips ``assert`` statements, and the package's checks must
 still run under it. A backticked name in a "Useful entry points" bullet
 must be an attribute of that bullet's module, of a class defined there, or
@@ -52,6 +53,60 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def top_level_names(source: str) -> set[str]:
+    """The names a module defines at top level, by a def, a class or an
+    assignment."""
+    names = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names.update(node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name))
+    return names
+
+
+def borrowed_imports(source: str, defined: dict[str, set[str]]) -> list[str]:
+    """The ``X.name`` of each ``from snlab.X import name`` (``from .X`` in
+    the package) whose ``name`` is not in ``defined[X]``, the top-level
+    names of ``snlab.X``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = ("snlab." if node.level else "") + node.module
+            if module.startswith("snlab."):
+                owner = module.removeprefix("snlab.")
+                found += [f"{owner}.{a.name}" for a in node.names
+                          if a.name not in defined[owner]]
+    return found
+
+
+def test_the_check_finds_borrowed_imports():
+    defined = {"graphs": top_level_names(
+        "from .errors import ParseError\nimport os\nEdge = tuple[int, int]\n"
+        "A, (B, C) = 1, (2, 3)\nLIMIT: int = 8\nclass Graph:\n    size = 1\n"
+        "def cotree_edges(g):\n    inner = 0\n    return inner\n"),
+        "balance": {"is_balanced"}}
+    assert defined["graphs"] == {"Edge", "A", "B", "C", "LIMIT", "Graph",
+                                 "cotree_edges"}
+    source = ("from snlab import cotree_edges\n"
+              "from snlab.graphs import Edge, Graph, LIMIT, ParseError, os\n"
+              "from .balance import cotree_edges, is_balanced\n"
+              "def f():\n    from snlab.graphs import size, inner, A, C\n")
+    assert borrowed_imports(source, defined) == [
+        "graphs.ParseError", "graphs.os", "balance.cotree_edges",
+        "graphs.size", "graphs.inner"]
+
+
+@pytest.mark.parametrize("path", PACKAGE + sorted((ROOT / "tests").glob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_names_are_imported_from_their_module(path):
+    defined = {p.stem: top_level_names(p.read_text(encoding="utf-8"))
+               for p in PACKAGE}
+    assert borrowed_imports(path.read_text(encoding="utf-8"), defined) == []
 
 
 def unread_private_names(sources: list[str]) -> list[str]:

@@ -9,6 +9,7 @@ and error paths.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -53,14 +54,14 @@ from snlab import (
 )
 from conftest import (WRONG_NULLITY, complete_bipartite, connected_graphs_upto,
                       cube, petersen, signed_sweep)
-from snlab.balance import _pattern, cotree_edges, cycle_sign, is_balanced
-from snlab.cli import _dump_line
+from snlab.balance import _pattern, cycle_sign, is_balanced
 from snlab.formats import graph6_decode
 from snlab.generation import canonical_form, enumerate_connected, enumerate_signatures
-from snlab.graphs import _forest_depth, fundamental_cycle, is_connected
+from snlab.graphs import _forest_depth, cotree_edges, fundamental_cycle, is_connected
 from snlab.linalg import rank_division_free
 from snlab.matching import contraction_matched
-from snlab.theorems import CampaignReport, _attaining, _etas, _pattern_action
+from snlab.theorems import (CampaignReport, _attaining, _dump_line, _etas,
+                            _pattern_action)
 
 
 @pytest.fixture
@@ -192,6 +193,23 @@ class TestInvariantRecord:
         assert rec.to_json_dict() == {
             "n": 2, "m": 1, "c": 0, "eta": 0, "balanced": True,
             "lower": 0, "upper": 0, "s": 0}
+
+    def test_json_dict_is_a_fresh_copy_of_the_fields(self):
+        """It lists the eight fields in order, and ``row_of`` may mutate
+        it without touching the record or a later call's result."""
+        sg = SignedGraph.with_negatives(cycle_graph(6), [(0, 1)])
+        rec = invariant_record(sg)
+        first = rec.to_json_dict()
+        assert list(first) == [f.name for f in dataclasses.fields(rec)]
+        assert first == {f.name: getattr(rec, f.name)
+                         for f in dataclasses.fields(rec)}
+        assert first is not rec.to_json_dict()
+        row_of(sg, eta=5)["n"] = 99
+        first["eta"] = 7
+        assert (rec.eta, rec.s) == (2, 0)
+        assert rec.to_json_dict() == {
+            "n": 6, "m": 3, "c": 1, "eta": 2, "balanced": False,
+            "lower": -1, "upper": 2, "s": 0}
 
     def test_violation_exception_carries_evidence(self):
         exc = TheoremViolation("nullity bounds", {"n": 1}, "1\n")
