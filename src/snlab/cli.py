@@ -23,8 +23,8 @@ and ``upper_check``; with ``--emit-all`` JSON-lines, one object per
 ``c``, ``eta``, ``balanced``, ``lower``, ``upper``, ``s``. The lines are
 formatted in the workers and written chunk by chunk in chunk order as the
 chunks arrive, so memory follows the size of the chunks' text, not the
-number of classes: a chunk's text is held until its turn comes, and a
-worker holds about two to three times its chunk's text.
+number of classes: a worker holds one chunk's text, with its pickle,
+until the main process reads it.
 """
 
 from __future__ import annotations

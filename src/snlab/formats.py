@@ -164,6 +164,10 @@ def sgl_loads(text: str) -> list[SignedGraph]:
         su, sv, ss = parts
         if not (su.isdigit() and sv.isdigit()):
             raise ParseError(f"bad endpoints {su!r} {sv!r}", lineno)
+        if len(su) > 6 or len(sv) > 6:  # int() refuses over 4,300 digits
+            su, sv = su.lstrip("0") or "0", sv.lstrip("0") or "0"
+            if len(su) > 6 or len(sv) > 6:
+                raise ParseError(f"edge endpoint above {_MAX_N}", lineno)
         u, v = int(su), int(sv)
         if u >= v:
             raise ParseError(f"edge must satisfy u < v, got {u} {v}", lineno)

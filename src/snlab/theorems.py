@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import contextlib
 import json
-import multiprocessing
+import os
+import pickle
+import signal
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .balance import _at_bits, _pattern
 from .errors import TheoremViolation
@@ -489,13 +491,90 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
 
 
 def _scan_chunk(task: tuple[tuple[Graph, ...], bool]) -> tuple[CampaignReport, str]:
-    """One chunk of the campaign, in a pool worker or in-process: its
+    """One chunk of the campaign, in a forked child or in-process: its
     counts, and its emitted lines as one string. The benchmark's tracer
     hooks this name to collect worker timings."""
     graphs, emit = task
     part = CampaignReport()
     text = "".join([_scan_graph(g, part, emit) for g in graphs])
     return part, text
+
+
+def _serve(tasks: list[tuple[tuple[Graph, ...], bool]], fd: int) -> NoReturn:
+    """The body of a forked child: scan ``tasks`` in order and pickle each
+    result, or the exception that stopped the scan, into the pipe ``fd``;
+    an exception that would not reach the parent intact goes as a
+    ``RuntimeError`` with its repr. A result is released once written, and
+    each scanned graph's cached state is dropped, so the child's memory
+    does not grow with the chunks it has scanned. Ends the process: the
+    parent's frames must not unwind here."""
+    try:
+        with open(fd, "wb") as out:
+            for task in tasks:
+                try:
+                    result = _scan_chunk(task)  # the module attribute, for the tracer
+                except BaseException as exc:
+                    result = exc
+                try:
+                    data = pickle.dumps(result)
+                    if isinstance(result, BaseException):
+                        pickle.loads(data)
+                except Exception:
+                    data = pickle.dumps(RuntimeError(repr(result)))
+                out.write(data)
+                out.flush()
+                if isinstance(result, BaseException):
+                    break
+                del result, data
+                for g in task[0]:
+                    for key in vars(g).keys() - {"n", "edges"}:
+                        del vars(g)[key]
+    finally:
+        os._exit(0)
+
+
+def _scan_chunks(tasks: list[tuple[tuple[Graph, ...], bool]],
+                 workers: int) -> Iterator[tuple[CampaignReport, str]]:
+    """Yield :func:`_scan_chunk` of each task, in task order.
+
+    With one worker or at most one task the chunks run in-process.
+    Otherwise ``min(workers, len(tasks))`` children are forked; child
+    ``w`` scans tasks ``w, w + W, ...``, which it inherits, so no task is
+    pickled, and writes each result to its own pipe, which the parent
+    reads in task order. A child's exception is raised again here; a
+    child that ends without its result raises ``RuntimeError``. On exit,
+    also when the consumer stops early, every child is killed and reaped.
+    """
+    if workers == 1 or len(tasks) <= 1:
+        yield from map(_scan_chunk, tasks)
+        return
+    width = min(workers, len(tasks))
+    pids, pipes = [], []
+    try:
+        for w in range(width):
+            r, fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _serve(tasks[w::width], fd)
+            pids.append(pid)
+            os.close(fd)
+            pipes.append(open(r, "rb"))
+        for i in range(len(tasks)):
+            try:
+                result = pickle.load(pipes[i % width])
+            except EOFError:
+                raise RuntimeError(f"campaign worker {i % width} ended "
+                                   f"without chunk {i}") from None
+            if isinstance(result, BaseException):
+                raise result
+            yield result
+    finally:
+        for f in pipes:
+            f.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def gap_scan(n_max: int, c_max: Optional[int] = None,
@@ -507,13 +586,12 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
     With no ``source``, all connected graphs with 1..n_max vertices are
     enumerated internally (one per isomorphism class); an explicit source
     supplies underlying graphs instead, filtered by n_max/c_max. The graph
-    list is cut into chunks, four per worker; results merge in chunk order
-    as they arrive, so the report is identical for every worker count.
-    With an ``emit`` sink, each chunk's text, one JSON line per class (see
-    :func:`_scan_graph`), is passed to it in chunk order as the chunk
-    arrives. A chunk's text is held until its turn comes; a pool worker
-    holds about two to three times its chunk's text (the lines, the
-    joined string and its pickle).
+    list is cut into chunks, four per worker, scanned by forked children
+    (see :func:`_scan_chunks`); results merge in chunk order, so the
+    report is identical for every worker count. With an ``emit`` sink,
+    each chunk's text, one JSON line per class (see :func:`_scan_graph`),
+    is passed to it in chunk order as the chunk arrives. A child holds
+    one chunk's result and its pickle until the parent reads it.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -541,10 +619,8 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
     size = -(-len(graphs) // (4 * workers)) or 1
     tasks = [(tuple(graphs[i:i + size]), emit is not None)
              for i in range(0, len(graphs), size)]
-    pool = (multiprocessing.get_context("fork").Pool(min(workers, len(tasks)))
-            if workers > 1 and len(tasks) > 1 else None)
-    with pool or contextlib.nullcontext():
-        for part, text in (pool.imap if pool else map)(_scan_chunk, tasks):
+    with contextlib.closing(_scan_chunks(tasks, workers)) as results:
+        for part, text in results:
             report.merge(part)
             if emit is not None:
                 emit(text)

@@ -76,6 +76,14 @@ class TestInvariantsCommand:
         assert capsys.readouterr().err == (
             "parse error: line 1: vertex count above 258047\n")
 
+    def test_edge_endpoint_too_long(self, tmp_path, capsys):
+        """An endpoint longer than ``int()`` converts is a parse error."""
+        bad = tmp_path / "long.sgl"
+        bad.write_text(f"2\n0 {'9' * 5000} +\n")
+        assert main(["invariants", str(bad)]) == 4
+        assert capsys.readouterr().err == (
+            "parse error: line 2: edge endpoint above 258047\n")
+
 
 class TestClassifyCommand:
     def test_agreement_lines(self, tmp_path, capsys):
@@ -181,6 +189,27 @@ class TestVerifyCommand:
         with pytest.raises(RuntimeError):
             main(["verify", "--n-max", "5", "--emit-all", "--out", str(out)])
         assert [text.count("\n") for text in streamed] == [11, 26]
+        assert out.read_text() == "an earlier report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
+    def test_failed_forked_campaign_keeps_the_old_report(self, tmp_path,
+                                                         monkeypatch):
+        """With two workers the scan runs in forked children; one that
+        fails part-way leaves the earlier report and no ``.part`` file, and
+        the children do not run the parent's clean-up."""
+        real_etas, parent = snlab.theorems._etas, os.getpid()
+
+        def failing(g):  # the first graph on 5 vertices is in chunk 2
+            if g.n == 5 and os.getpid() != parent:
+                raise RuntimeError("the scan failed part-way")
+            return real_etas(g)
+
+        monkeypatch.setattr(snlab.theorems, "_etas", failing)
+        out = tmp_path / "r.jsonl"
+        out.write_text("an earlier report\n")
+        with pytest.raises(RuntimeError, match="part-way"):
+            main(["verify", "--n-max", "5", "--emit-all", "--workers", "2",
+                  "--out", str(out)])
         assert out.read_text() == "an earlier report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 

@@ -286,7 +286,8 @@ class TestCachedState:
         assert g.pendant_core is core and g.n == 4
 
     def test_pickled_graph_keeps_its_cached_entries(self):
-        """The fork pool's chunks carry each graph's cached state."""
+        """A pickled graph carries its cached state: ``_cached`` keeps it
+        in the instance dict, as ``functools.cached_property`` would."""
         g = Graph(7, cycle_graph(4).edges | {(3, 4), (4, 5), (5, 6)})
         cached = (g._adj, g._forest, g._cotree, g.pendant_core,
                   g._disjoint_cycles)

@@ -14,8 +14,11 @@ import functools
 import hashlib
 import itertools
 import json
-import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
 from array import array
 
 import pytest
@@ -65,32 +68,26 @@ from snlab.theorems import (CampaignReport, _attaining, _dump_line, _etas,
 
 
 @pytest.fixture
-def fake_pool(monkeypatch):
-    """Make ``gap_scan``'s pools record their size and the chunks they are
-    given, and run the chunks in-process, in order, so no process is
-    started; yields ``(sizes, chunks)``."""
-    sizes, chunks = [], []
+def forks(monkeypatch):
+    """Make ``os.fork`` record the pid of every child it starts; yields
+    the list of pids."""
+    pids = []
+    fork = os.fork
 
-    class FakePool:
-        def __init__(self, size):
-            sizes.append(size)
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", recording)
+    yield pids
 
-        def __exit__(self, *exc):
-            return False
 
-        def imap(self, fn, items):
-            for item in items:
-                chunks.append(item)
-                yield fn(item)
-
-    class FakeContext:
-        Pool = FakePool
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
-    yield sizes, chunks
+def assert_no_children() -> None:
+    """Every child of this process has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def scan_emitting(*args, **kwargs):
@@ -795,22 +792,21 @@ class TestGapScan:
         with pytest.raises(ValueError):
             gap_scan(4, c_max=-1, source=[path_graph(1)])
 
-    def test_no_more_pool_processes_than_chunks(self, fake_pool):
-        sizes, chunks = fake_pool
+    def test_no_more_processes_than_chunks(self, forks):
         one, one_text = scan_emitting(3, workers=1)
+        assert forks == []
         many, many_text = scan_emitting(3, workers=16)
-        assert sizes == [len(chunks)] == [4]
+        assert len(forks) == len(many_text) == 4
         assert many.to_json_dict() == one.to_json_dict()
         # one text per chunk, given to the sink in chunk order
-        assert len(many_text) == 4
         assert "".join(many_text) == "".join(one_text)
+        assert_no_children()
 
-    def test_pool_merge_equals_one_worker(self, tmp_path, fake_pool,
-                                          wrong_nullity):
+    def test_forked_merge_equals_one_worker(self, tmp_path, forks,
+                                            wrong_nullity):
         """Chunks merge in order: counts add up and the lists (violations,
         disagreements, emitted lines) concatenate as one worker builds them.
         The wrong values of ``wrong_nullity`` put entries in every list."""
-        sizes, chunks = fake_pool
         graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
         graphs[2:2] = [cycle_graph(8), Graph(4, frozenset({(0, 1)}))]
         graphs += [disjoint_union(cycle_graph(3), path_graph(3)),
@@ -820,14 +816,85 @@ class TestGapScan:
         (one, one_text), (four, four_text) = (
             scan_emitting(6, source=read_graph6(str(path)), workers=w)
             for w in (1, 4))
-        assert sizes == [4] and len(chunks) == 12  # 34 kept, 3 a chunk
+        assert len(forks) == 4 and len(four_text) == 12  # 34 kept, 3 a chunk
         assert four.to_json_dict() == one.to_json_dict()
-        assert len(four_text) == 12
         assert "".join(four_text) == "".join(one_text)
         assert one.totals["source_skipped"] == 2
         assert one.upper_check["skipped_disconnected"] == 1 + 2 + 1
         assert len(one.violations) == 3
         assert len(one.upper_check["disagreements"]) == 3
+        assert_no_children()
+
+    def test_empty_source_forks_nothing(self, forks):
+        report = gap_scan(3, source=[], workers=4)
+        assert forks == [] and report.totals["graphs"] == 0
+
+
+class TestForkedChildren:
+    """How ``gap_scan``'s forked children fail: every failure reaches the
+    caller as an exception, and no child outlives the call."""
+
+    @staticmethod
+    def failing_on(n, make_error):
+        """An ``_etas`` that raises ``make_error()`` on graphs of ``n``
+        vertices, in a forked child only."""
+        real_etas, parent = snlab.theorems._etas, os.getpid()
+
+        def etas(g):
+            if g.n == n and os.getpid() != parent:
+                raise make_error()
+            return real_etas(g)
+        return etas
+
+    def test_exception_keeps_its_type(self, monkeypatch):
+        monkeypatch.setattr(snlab.theorems, "_etas", self.failing_on(
+            5, lambda: LookupError("no graph on 5 vertices")))
+        with pytest.raises(LookupError, match="no graph on 5 vertices"):
+            gap_scan(5, workers=2)
+        assert_no_children()
+
+    def test_exception_that_does_not_pickle(self, monkeypatch):
+        """A local class does not pickle; ``TheoremViolation`` pickles but
+        cannot be rebuilt from its message alone."""
+        class Local(Exception):
+            pass
+
+        for error, name in ((lambda: Local("lost"), "Local('lost')"),
+                            (lambda: TheoremViolation("gap", {}, ""),
+                             "TheoremViolation")):
+            monkeypatch.setattr(snlab.theorems, "_etas",
+                                self.failing_on(4, error))
+            with pytest.raises(RuntimeError) as info:
+                gap_scan(5, workers=3)
+            assert type(info.value) is RuntimeError
+            assert str(info.value).startswith(name)
+            assert_no_children()
+
+    def test_child_that_dies_without_its_chunk(self, monkeypatch):
+        monkeypatch.setattr(snlab.theorems, "_etas", self.failing_on(
+            1, lambda: os.kill(os.getpid(), signal.SIGKILL)))
+        with pytest.raises(RuntimeError, match="ended without chunk 0"):
+            gap_scan(5, workers=2)
+        assert_no_children()
+
+    def test_sink_that_fails_stops_the_children(self):
+        def sink(text):
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            gap_scan(6, workers=2, emit=sink)
+        assert_no_children()
+
+    def test_import_starts_no_multiprocessing(self):
+        """The package and its command line import no ``multiprocessing``,
+        whose import alone costs about 10 ms in every fresh process."""
+        src = os.path.dirname(os.path.dirname(snlab.theorems.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, snlab, snlab.cli; "
+             "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout == "[]\n"
 
 
 class TestGapScanSingleSource:
