@@ -37,13 +37,10 @@ def _g6_size_bytes(n: int) -> str:
 
 def graph6_encode(g: Graph) -> str:
     """One-line graph6 encoding (no trailing newline): the reverse of
-    :func:`graph6_decode`, in :meth:`Graph.from_bits`'s pair order."""
+    :func:`graph6_decode`, packing :attr:`Graph.bits`."""
     k = g.n * (g.n - 1) // 2
-    data = 0
-    for u, v in g.edges:
-        data |= 1 << (k - 1 - (v * (v - 1) // 2 + u))
     pad = -k % 6
-    data <<= pad
+    data = g.bits << pad
     return _g6_size_bytes(g.n) + "".join(
         chr((data >> s & 63) + 63) for s in range(k + pad - 6, -1, -6))
 

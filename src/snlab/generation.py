@@ -5,7 +5,7 @@ every connected graph on k >= 2 vertices has a non-cut vertex, so it arises
 from a connected graph on k-1 vertices by attaching a new vertex to a
 nonempty neighbor set; deleting a non-cut vertex never increases the
 cycle-space dimension, so a dimension cap may prune at every level. The
-catalog is the set of the children's canonical forms, each decoded once.
+catalog is the set of the children's canonical forms; it keeps no graph.
 Neighbor sets in one orbit of the parent's automorphism group give
 isomorphic children, so a set in the orbit of one visited before is
 skipped (388 visits for n <= 6, against 759 children). A visited child is
@@ -279,16 +279,15 @@ def _outranked(adj: list[int], v: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _connected_catalog(n: int, max_c: Optional[int]) -> tuple[Graph, ...]:
-    """All connected graphs on ``n`` vertices up to isomorphism, with
-    cycle-space dimension at most ``max_c`` when given. Canonically labeled,
-    sorted by canonical form."""
-    if n == 0:
-        return ()
+def _connected_catalog(n: int, max_c: Optional[int]) -> tuple[tuple[int, int], ...]:
+    """The sorted canonical forms of the connected graphs on ``n`` vertices,
+    with cycle-space dimension at most ``max_c`` when given. Only integers
+    are cached: a parent is a Graph only while its children are built."""
     if n == 1:
-        return (Graph(1, frozenset()),)
+        return ((1, 0),)
     forms: set[tuple[int, int]] = set()
-    for parent in _connected_catalog(n - 1, max_c):
+    for form in _connected_catalog(n - 1, max_c):
+        parent = Graph.from_bits(*form)
         top = n - 1 if max_c is None else max_c - cycle_space_dim(parent) + 1
         # the parent's automorphisms acting on neighbour sets as bitmasks
         action = _LinearAction([[1 << v for v in p] for p in parent.automorphisms])
@@ -304,29 +303,25 @@ def _connected_catalog(n: int, max_c: Optional[int]) -> tuple[Graph, ...]:
                         adj[v] |= 1 << n - 1
                     if not _outranked(adj, n - 1):
                         forms.add(_canonical_form(adj))
-    return tuple(Graph.from_bits(*form) for form in sorted(forms))
+    return tuple(sorted(forms))
 
 
 def enumerate_connected(n: int, max_c: Optional[int] = None,
                         unicyclic_only: bool = False,
                         cap: Optional[int] = None) -> Iterator[Graph]:
     """Connected graphs on exactly ``n`` vertices, one per isomorphism
-    class, in a fixed deterministic order.
-
-    ``max_c`` bounds the cycle-space dimension, ``unicyclic_only`` keeps
-    dimension exactly 1.
-    ``n`` beyond the cap raises :class:`CapacityError`.
-    """
+    class, in a fixed deterministic order, built anew on each call from
+    the cached forms; ``max_c`` bounds the cycle-space dimension,
+    ``unicyclic_only`` keeps dimension exactly 1, and ``n`` beyond the cap
+    raises :class:`CapacityError`."""
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     if max_c is not None and max_c < 0:
         raise ValueError(f"max_c must be nonnegative, got {max_c}")
     check_vertex_cap(n, cap)
-    eff_max_c = 1 if unicyclic_only else max_c
-    for g in _connected_catalog(n, eff_max_c):
-        if unicyclic_only and cycle_space_dim(g) != 1:
-            continue
-        yield g
+    for form in _connected_catalog(n, 1 if unicyclic_only else max_c):
+        if not unicyclic_only or form[1].bit_count() == n:  # n edges: c = 1
+            yield Graph.from_bits(*form)
 
 
 def enumerate_signatures(g: Graph) -> Iterator[SignedGraph]:

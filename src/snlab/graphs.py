@@ -94,13 +94,19 @@ class Graph:
         k = n * (n - 1) // 2
         if not 0 <= bits < 1 << k:
             raise ValueError(f"{bits} does not fit the {k} pairs of {n} vertices")
-        edges = []
-        for j in range(1, n):
-            for i in range(j):
-                k -= 1
-                if (bits >> k) & 1:
-                    edges.append((i, j))
-        return cls(n, frozenset(edges))
+        # one pass over the binary digits: testing each bit of a long
+        # integer with a shift would take time quadratic in the pairs
+        digits = iter(f"{bits:0{k}b}")
+        return cls(n, frozenset([(i, j) for j in range(1, n) for i in range(j)
+                                 if next(digits) == "1"]))
+
+    @property
+    def bits(self) -> int:
+        """The inverse of :meth:`from_bits`, one digit per pair, uncached."""
+        digits = bytearray(b"0" * (self.n * (self.n - 1) // 2))
+        for u, v in self.edges:
+            digits[v * (v - 1) // 2 + u] = 49  # ord("1")
+        return int(digits or b"0", 2)
 
     @_cached
     def _adj(self) -> tuple[Sequence[int], ...]:

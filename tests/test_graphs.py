@@ -120,6 +120,38 @@ class TestFromBits:
             want = "D" + chr((data >> 6) + 63) + chr((data & 63) + 63)
             assert graph6_encode(Graph.from_bits(5, bits)) == want
 
+    @staticmethod
+    def pair_loop_graph6(g: Graph) -> str:
+        """graph6 as the encoder computed it before ``Graph.bits``: one bit
+        per edge, set at its pair's place counted from the top."""
+        k = g.n * (g.n - 1) // 2
+        data = 0
+        for u, v in g.edges:
+            data |= 1 << (k - 1 - (v * (v - 1) // 2 + u))
+        pad = -k % 6
+        data <<= pad
+        size = (chr(g.n + 63) if g.n <= 62 else
+                "~" + "".join(chr((g.n >> s & 63) + 63) for s in (12, 6, 0)))
+        return size + "".join(chr((data >> s & 63) + 63)
+                              for s in range(k + pad - 6, -1, -6))
+
+    def test_bits_inverts_from_bits_and_keeps_graph6(self):
+        """On every catalog graph with n <= 6, on seeded random labelled
+        graphs, at n = 0 and 1, and at n = 70, where graph6 writes the
+        size in four bytes."""
+        rng = random.Random(24)
+        graphs = [Graph(0), Graph(1), *connected_graphs_upto(6)]
+        for n in (2, 5, 9, 13, 70):
+            pairs = list(itertools.combinations(range(n), 2))
+            for _ in range(20):
+                graphs.append(Graph(n, frozenset(
+                    p for p in pairs if rng.random() < 0.4)))
+        for g in graphs:
+            assert 0 <= g.bits < 1 << g.n * (g.n - 1) // 2
+            assert Graph.from_bits(g.n, g.bits) == g
+            assert graph6_encode(g) == self.pair_loop_graph6(g)
+        assert graph6_encode(graphs[-1])[0] == "~"
+
 
 class TestSubgraphs:
     def test_induced_path_endpoints(self):
