@@ -490,22 +490,20 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
     return "".join(lines)
 
 
-Task = tuple[tuple[tuple[int, int], ...], bool]  # graphs as (n, bits), emit
-
-
-def _scan_chunk(task: Task) -> tuple[CampaignReport, str]:
-    """One chunk of the campaign, in a forked child or in-process: its
-    counts, and its emitted lines as one string. Each graph is built from
-    its form only to be scanned. The benchmark's tracer hooks this name to
-    collect worker timings."""
-    forms, emit = task
+def _scan_chunk(forms: Sequence[tuple[int, int]],
+                emit: bool) -> tuple[CampaignReport, str]:
+    """One chunk of the campaign, the graphs ``forms`` as ``(n, bits)``:
+    its counts, and with ``emit`` its lines as one string. Each graph is
+    built from its form only to be scanned. The benchmark's tracer hooks
+    this name to collect the forked children's timings."""
     part = CampaignReport()
     text = "".join([_scan_graph(Graph.from_bits(*f), part, emit) for f in forms])
     return part, text
 
 
-def _serve(tasks: list[Task], fd: int) -> NoReturn:
-    """The body of a forked child: scan ``tasks`` in order and pickle each
+def _serve(chunks: Sequence[Sequence[tuple[int, int]]], emit: bool,
+           fd: int) -> NoReturn:
+    """The body of a forked child: scan ``chunks`` in order and pickle each
     result, or the exception that stopped the scan, into the pipe ``fd``;
     an exception that would not reach the parent intact goes as a
     ``RuntimeError`` with its repr. A result is released once written, so
@@ -513,9 +511,9 @@ def _serve(tasks: list[Task], fd: int) -> NoReturn:
     the process: the parent's frames must not unwind here."""
     try:
         with open(fd, "wb") as out:
-            for task in tasks:
+            for forms in chunks:
                 try:
-                    result = _scan_chunk(task)  # the module attribute, for the tracer
+                    result = _scan_chunk(forms, emit)  # the module attribute, for the tracer
                 except BaseException as exc:
                     result = exc
                 try:
@@ -533,36 +531,36 @@ def _serve(tasks: list[Task], fd: int) -> NoReturn:
         os._exit(0)
 
 
-def _scan_chunks(tasks: list[Task],
+def _scan_chunks(chunks: Sequence[Sequence[tuple[int, int]]], emit: bool,
                  workers: int) -> Iterator[tuple[CampaignReport, str]]:
-    """Yield :func:`_scan_chunk` of each task, in task order.
+    """Yield :func:`_scan_chunk` of each chunk, in chunk order.
 
-    With one worker or at most one task the chunks run in-process.
-    Otherwise ``min(workers, len(tasks))`` children are forked; child
-    ``w`` scans tasks ``w, w + W, ...``, which it inherits, so no task is
-    pickled, and writes each result to its own pipe, which the parent
-    reads in task order. A child's exception is raised again here; a
-    child that ends without its result raises ``RuntimeError``. On exit,
-    also when the consumer stops early, every child is killed and reaped.
+    Of ``W = min(workers, len(chunks))`` processes, this one scans chunks
+    ``0, W, 2W, ...`` and forked child ``w`` chunks ``w, w + W, ...``,
+    which it inherits, so no chunk is pickled; a child writes its results
+    to its own pipe, read here in chunk order. A child's exception is
+    raised again here; a child that ends without its result raises
+    ``RuntimeError``. On exit, also when the consumer stops early, every
+    child is killed and reaped.
     """
-    if workers == 1 or len(tasks) <= 1:
-        yield from map(_scan_chunk, tasks)
-        return
-    width = min(workers, len(tasks))
+    width = min(workers, len(chunks))
     pids, pipes = [], []
     try:
-        for w in range(width):
+        for w in range(1, width):
             r, fd = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(r)
-                _serve(tasks[w::width], fd)
+                _serve(chunks[w::width], emit, fd)
             pids.append(pid)
             os.close(fd)
             pipes.append(open(r, "rb"))
-        for i in range(len(tasks)):
+        for i, forms in enumerate(chunks):
+            if i % width == 0:
+                yield _scan_chunk(forms, emit)
+                continue
             try:
-                result = pickle.load(pipes[i % width])
+                result = pickle.load(pipes[i % width - 1])
             except EOFError:
                 raise RuntimeError(f"campaign worker {i % width} ended "
                                    f"without chunk {i}") from None
@@ -586,13 +584,13 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
     With no ``source``, all connected graphs with 1..n_max vertices are
     enumerated internally (one per isomorphism class); an explicit source
     supplies underlying graphs instead, filtered by n_max/c_max. Their
-    ``(n, bits)`` forms are cut into chunks, four per worker, scanned by
-    forked children (see :func:`_scan_chunks`), which build each graph only
-    to scan it; results merge in chunk order, so the report is identical
-    for every worker count. With an ``emit`` sink,
-    each chunk's text, one JSON line per class (see :func:`_scan_graph`),
-    is passed to it in chunk order as the chunk arrives. A child holds
-    one chunk's result and its pickle until the parent reads it.
+    ``(n, bits)`` forms are cut into chunks, four per worker, scanned in
+    turn by this process and ``workers - 1`` forked children at most (see
+    :func:`_scan_chunks`), which build each graph only to scan it; results
+    merge in chunk order, so the report is identical for every worker
+    count. With an ``emit`` sink, each chunk's text, one JSON line per class
+    (see :func:`_scan_graph`), is passed to it in chunk order as the chunk
+    arrives. A child holds one chunk's result and its pickle until read.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -618,9 +616,9 @@ def gap_scan(n_max: int, c_max: Optional[int] = None,
             forms.append((g.n, g.bits))
 
     size = -(-len(forms) // (4 * workers)) or 1
-    tasks = [(tuple(forms[i:i + size]), emit is not None)
-             for i in range(0, len(forms), size)]
-    with contextlib.closing(_scan_chunks(tasks, workers)) as results:
+    chunks = [tuple(forms[i:i + size]) for i in range(0, len(forms), size)]
+    with contextlib.closing(_scan_chunks(chunks, emit is not None,
+                                         workers)) as results:
         for part, text in results:
             report.merge(part)
             if emit is not None:

@@ -199,7 +199,9 @@ class TestVerifyCommand:
         the children do not run the parent's clean-up."""
         real_etas, parent = snlab.theorems._etas, os.getpid()
 
-        def failing(g):  # the first graph on 5 vertices is in chunk 2
+        # the graphs on 5 vertices start in chunk 2, which this process
+        # scans, so the first that fails is in chunk 3, the child's
+        def failing(g):
             if g.n == 5 and os.getpid() != parent:
                 raise RuntimeError("the scan failed part-way")
             return real_etas(g)

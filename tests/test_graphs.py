@@ -109,7 +109,7 @@ class TestFromBits:
         assert Graph.from_bits(1, 0) == Graph(1)
 
     def test_rejects_bits_outside_the_triangle(self):
-        for n, bits in ((0, 1), (1, 1), (3, 8), (3, -1)):
+        for n, bits in ((0, 1), (1, 1), (3, 8), (3, -1), (-1, 0)):
             with pytest.raises(ValueError):
                 Graph.from_bits(n, bits)
 
@@ -138,7 +138,9 @@ class TestFromBits:
     def test_bits_inverts_from_bits_and_keeps_graph6(self):
         """On every catalog graph with n <= 6, on seeded random labelled
         graphs, at n = 0 and 1, and at n = 70, where graph6 writes the
-        size in four bytes."""
+        size in four bytes. ``from_bits`` skips the constructor's checks,
+        so its graphs are compared with, and hashed like, the graphs the
+        constructor built."""
         rng = random.Random(24)
         graphs = [Graph(0), Graph(1), *connected_graphs_upto(6)]
         for n in (2, 5, 9, 13, 70):
@@ -148,7 +150,8 @@ class TestFromBits:
                     p for p in pairs if rng.random() < 0.4)))
         for g in graphs:
             assert 0 <= g.bits < 1 << g.n * (g.n - 1) // 2
-            assert Graph.from_bits(g.n, g.bits) == g
+            decoded = Graph.from_bits(g.n, g.bits)
+            assert decoded == g and hash(decoded) == hash(g)
             assert graph6_encode(g) == self.pair_loop_graph6(g)
         assert graph6_encode(graphs[-1])[0] == "~"
 

@@ -798,7 +798,8 @@ class TestGapScan:
         one, one_text = scan_emitting(3, workers=1)
         assert forks == []
         many, many_text = scan_emitting(3, workers=16)
-        assert len(forks) == len(many_text) == 4
+        # four chunks: this process scans the first and forks three children
+        assert len(many_text) == 4 and len(forks) == 3
         assert many.to_json_dict() == one.to_json_dict()
         # one text per chunk, given to the sink in chunk order
         assert "".join(many_text) == "".join(one_text)
@@ -818,7 +819,7 @@ class TestGapScan:
         (one, one_text), (four, four_text) = (
             scan_emitting(6, source=read_graph6(str(path)), workers=w)
             for w in (1, 4))
-        assert len(forks) == 4 and len(four_text) == 12  # 34 kept, 3 a chunk
+        assert len(forks) == 3 and len(four_text) == 12  # 34 kept, 3 a chunk
         assert four.to_json_dict() == one.to_json_dict()
         assert "".join(four_text) == "".join(one_text)
         assert one.totals["source_skipped"] == 2
@@ -874,17 +875,18 @@ class TestGapScan:
 
 
 class TestForkedChildren:
-    """How ``gap_scan``'s forked children fail: every failure reaches the
+    """How a campaign with forked children fails: every failure reaches the
     caller as an exception, and no child outlives the call."""
 
     @staticmethod
-    def failing_on(n, make_error):
+    def failing_on(n, make_error, in_child=True):
         """An ``_etas`` that raises ``make_error()`` on graphs of ``n``
-        vertices, in a forked child only."""
+        vertices, in a forked child only, or with ``in_child`` false in
+        this process only."""
         real_etas, parent = snlab.theorems._etas, os.getpid()
 
         def etas(g):
-            if g.n == n and os.getpid() != parent:
+            if g.n == n and (os.getpid() != parent) == in_child:
                 raise make_error()
             return real_etas(g)
         return etas
@@ -913,10 +915,27 @@ class TestForkedChildren:
             assert str(info.value).startswith(name)
             assert_no_children()
 
+    def test_exception_in_this_process_keeps_its_type(self, monkeypatch,
+                                                       forks):
+        """A chunk this process scans fails as a direct call would, also
+        with an exception that would not come back from a child intact,
+        and the child is killed. The graphs on 5 vertices start in chunk 2
+        of 8, which is this process's with two workers."""
+        for error in (LookupError("no graph on 5 vertices"),
+                      TheoremViolation("gap", {}, "")):
+            monkeypatch.setattr(snlab.theorems, "_etas", self.failing_on(
+                5, lambda: error, in_child=False))
+            with pytest.raises(type(error)) as info:
+                gap_scan(5, workers=2)
+            assert info.value is error
+            assert_no_children()
+        assert len(forks) == 2
+
     def test_child_that_dies_without_its_chunk(self, monkeypatch):
+        """The graphs on 4 vertices start in chunk 1, the child's."""
         monkeypatch.setattr(snlab.theorems, "_etas", self.failing_on(
-            1, lambda: os.kill(os.getpid(), signal.SIGKILL)))
-        with pytest.raises(RuntimeError, match="ended without chunk 0"):
+            4, lambda: os.kill(os.getpid(), signal.SIGKILL)))
+        with pytest.raises(RuntimeError, match="ended without chunk 1"):
             gap_scan(5, workers=2)
         assert_no_children()
 
