@@ -27,9 +27,9 @@ from .matching import (BRUTE_FORCE_EDGE_CAP, Matching, MatchingSets,
                        brute_force_max_matching, enumerate_maximum_matchings,
                        even_cycle_matching_equivalence, matching_number,
                        matching_sets, odd_cycle_matching_equivalence, unique_cycle)
-from .theorems import (CampaignReport, FamilyParams, FamilyPrediction,
-                       InvariantRecord, attains_upper, classify_unicyclic,
-                       family_prediction, gap_scan, generate_family,
-                       invariant_record, slack_coverage, unicyclic_case)
+from .theorems import (CampaignReport, FamilyParams, InvariantRecord,
+                       attains_upper, classify_unicyclic, family_prediction,
+                       gap_scan, generate_family, invariant_record,
+                       slack_coverage, unicyclic_case)
 
 __version__ = "0.1.0"

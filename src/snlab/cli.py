@@ -42,8 +42,7 @@ from typing import Optional, Sequence
 
 from .errors import CapacityError, ParseError, TheoremViolation
 from .formats import read_graph6, read_sgl, write_sgl
-from .linalg import char_poly_exact, nullity, sachs_coefficients, signed_adjacency
-from .matching import matching_number
+from .linalg import char_poly_exact, sachs_coefficients, signed_adjacency
 from .theorems import (FamilyParams, _dump_line, classify_unicyclic, gap_scan,
                        generate_family, invariant_record, unicyclic_case)
 
@@ -121,15 +120,13 @@ def cmd_classify(args) -> int:
             except ValueError as exc:
                 out.write(_dump_line({"index": i, "error": str(exc)}) + "\n")
                 continue
-            n = sg.n
-            m = matching_number(sg.graph)
-            predicted = n - 2 * m + offset
-            eta = nullity(sg)
-            agree = predicted == eta
+            rec = invariant_record(sg, check=False)
+            predicted = rec.n - 2 * rec.m + offset
+            agree = predicted == rec.eta
             disagreed = disagreed or not agree
             out.write(_dump_line({
                 "index": i, "case": unicyclic_case(offset),
-                "predicted_eta": predicted, "computed_eta": eta,
+                "predicted_eta": predicted, "computed_eta": rec.eta,
                 "agreement": agree}) + "\n")
     return EXIT_VIOLATION if disagreed else EXIT_OK
 
@@ -137,7 +134,7 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     source = None
     if args.source != "internal":
-        source = list(read_graph6(args.source[len("graph6:"):]))
+        source = read_graph6(args.source[len("graph6:"):])
     # a bad --out fails before the campaign; a file this check creates is
     # removed again if the campaign fails
     created = not os.path.exists(args.out)
@@ -183,13 +180,10 @@ def cmd_generate(args) -> int:
     sg, pred = generate_family(params)
     write_sgl([sg], args.out)
     rec = invariant_record(sg, check=False)
-    rows = [("n", pred.n, rec.n), ("m", pred.m, rec.m), ("c", pred.c, rec.c),
-            ("eta", pred.eta, rec.eta), ("s", pred.s, rec.s)]
-    ok = True
+    ok = pred == rec
     print("quantity  predicted  computed")
-    for name, want, got in rows:
-        ok = ok and want == got
-        print(f"{name:<9} {want:>9}  {got:>8}")
+    for name in ("n", "m", "c", "eta", "s"):
+        print(f"{name:<9} {getattr(pred, name):>9}  {getattr(rec, name):>8}")
     print(f"written to {args.out}; match: {ok}")
     return EXIT_OK if ok else EXIT_VIOLATION
 

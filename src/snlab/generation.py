@@ -130,8 +130,7 @@ def _canonical_form(masks: list[int]) -> tuple[int, int]:
 
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Generators of the automorphism group of ``g`` as image tuples
-    (``perm[v]`` is the image of ``v``); ``Graph.automorphisms`` keeps them
-    once per graph.
+    (``perm[v]`` is the image of ``v``).
 
     The search goes from the deepest level first: for ``i = n-2 .. 0`` and
     each ``w > i`` of ``i``'s refinement colour outside the orbit of ``i``
@@ -290,7 +289,8 @@ def _connected_catalog(n: int, max_c: Optional[int]) -> tuple[tuple[int, int], .
         parent = Graph.from_bits(*form)
         top = n - 1 if max_c is None else max_c - cycle_space_dim(parent) + 1
         # the parent's automorphisms acting on neighbour sets as bitmasks
-        action = _LinearAction([[1 << v for v in p] for p in parent.automorphisms])
+        action = _LinearAction([[1 << v for v in p]
+                                for p in automorphism_generators(parent)])
         seen = bytearray(1 << n - 1)  # 1 on the orbits of the sets visited
         masks = [sum(1 << w for w in a) for a in parent._adj]
         for size in range(1, min(n - 1, top) + 1):
@@ -307,21 +307,18 @@ def _connected_catalog(n: int, max_c: Optional[int]) -> tuple[tuple[int, int], .
 
 
 def enumerate_connected(n: int, max_c: Optional[int] = None,
-                        unicyclic_only: bool = False,
                         cap: Optional[int] = None) -> Iterator[Graph]:
     """Connected graphs on exactly ``n`` vertices, one per isomorphism
     class, in a fixed deterministic order, built anew on each call from
-    the cached forms; ``max_c`` bounds the cycle-space dimension,
-    ``unicyclic_only`` keeps dimension exactly 1, and ``n`` beyond the cap
-    raises :class:`CapacityError`."""
+    the cached forms; ``max_c`` bounds the cycle-space dimension, and
+    ``n`` beyond the cap raises :class:`CapacityError`."""
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     if max_c is not None and max_c < 0:
         raise ValueError(f"max_c must be nonnegative, got {max_c}")
     check_vertex_cap(n, cap)
-    for form in _connected_catalog(n, 1 if unicyclic_only else max_c):
-        if not unicyclic_only or form[1].bit_count() == n:  # n edges: c = 1
-            yield Graph.from_bits(*form)
+    for form in _connected_catalog(n, max_c):
+        yield Graph.from_bits(*form)
 
 
 def enumerate_signatures(g: Graph) -> Iterator[SignedGraph]:

@@ -182,14 +182,6 @@ class Graph:
         return tuple(pos), k, isolated
 
     @_cached
-    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """Generators of the automorphism group, as image tuples, computed
-        once per graph; see
-        :func:`snlab.generation.automorphism_generators`."""
-        from .generation import automorphism_generators  # it imports this module
-        return automorphism_generators(self)
-
-    @_cached
     def _disjoint_cycles(self) -> Optional[tuple[tuple[int, ...], ...]]:
         """The fundamental cycles as vertex tuples, the ``i``-th the forest
         path closed by cotree edge ``i``, or None when two share a vertex

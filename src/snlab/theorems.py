@@ -26,7 +26,8 @@ from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 from .balance import _at_bits, _pattern
 from .errors import TheoremViolation
 from .formats import graph6_encode, sgl_dumps
-from .generation import _LinearAction, _connected_catalog, check_vertex_cap
+from .generation import (_LinearAction, _connected_catalog,
+                         automorphism_generators, check_vertex_cap)
 from .graphs import (Edge, Graph, SignedGraph, _forest_depth, cycle_space_dim,
                      is_connected)
 from .linalg import _core_rows, eliminate_outside, nullity, rank_division_free
@@ -171,27 +172,20 @@ class FamilyParams:
             raise ValueError("at least one block is required")
 
 
-@dataclass(frozen=True)
-class FamilyPrediction:
-    """Closed-form invariants of the generated family member."""
-
-    n: int
-    m: int
-    c: int
-    eta: int
-    s: int
-
-
-def family_prediction(p: FamilyParams) -> FamilyPrediction:
+def family_prediction(p: FamilyParams) -> InvariantRecord:
+    """The invariant record of the family member, in closed form; only a
+    hexagon carries a negative edge, so only hexagons unbalance it."""
     l1, l2, l3 = p.triangles, p.hexagons, p.tailed_squares
     n = 3 * l1 + 6 * l2 + 5 * l3 + 2
     m = l1 + 3 * l2 + 2 * l3 + 1
     c = l1 + l2 + l3
     eta = 2 * l2 + l3
-    return FamilyPrediction(n=n, m=m, c=c, eta=eta, s=_bounds(n, m, c)[1] - eta)
+    lower, upper = _bounds(n, m, c)
+    return InvariantRecord(n=n, m=m, c=c, eta=eta, balanced=l2 == 0,
+                           lower=lower, upper=upper, s=upper - eta)
 
 
-def generate_family(p: FamilyParams) -> tuple[SignedGraph, FamilyPrediction]:
+def generate_family(p: FamilyParams) -> tuple[SignedGraph, InvariantRecord]:
     """Build the family member: a star center x with one bare pendant y0
     and one block hanging off each remaining star edge.
 
@@ -300,7 +294,8 @@ class CampaignReport:
 
 
 def _pattern_action(g: Graph, cotree: Sequence[Edge]) -> _LinearAction:
-    """``g``'s automorphisms acting on cotree patterns.
+    """The generators of :func:`automorphism_generators` acting on
+    ``g``'s cotree patterns.
 
     An automorphism maps the class whose one negative edge is ``e`` to the
     class whose one negative edge is the image of ``e``; its pattern is the
@@ -311,7 +306,7 @@ def _pattern_action(g: Graph, cotree: Sequence[Edge]) -> _LinearAction:
     catalogs for n = 6 and 7 (2-core Xeon), finding the group and building
     its tables took longer than ranking those at most 16 classes.
     """
-    gens = g.automorphisms if len(cotree) >= 5 else ()
+    gens = automorphism_generators(g) if len(cotree) >= 5 else ()
     if not gens:
         return _LinearAction([])
     parent, order = g._forest
@@ -361,7 +356,7 @@ def _etas(g: Graph):
     keep the nullity, so only the least pattern of each orbit under both is
     ranked, the next one being the next pattern whose entry is still 0 (the
     sentinel ends the search). Its eta goes to its orbit under
-    ``g.automorphisms`` (from five cotree edges on, see
+    :func:`automorphism_generators` (from five cotree edges on, see
     :func:`_pattern_action`) and to that of its negation ``t ^ odd``, in
     one pass: ``odd`` has the bits of the odd fundamental cycles, the
     cotree edges whose ends have depths of equal parity in the forest. It

@@ -141,7 +141,8 @@ def unicyclic_graphs_upto_9():
     """All connected unicyclic graphs with n <= 9."""
     out = []
     for n in range(3, 10):
-        out.extend(enumerate_connected(n, unicyclic_only=True, cap=9))
+        out.extend(g for g in enumerate_connected(n, max_c=1, cap=9)
+                   if len(g.edges) == n)
     return out
 
 

@@ -153,7 +153,9 @@ def test_criterion_06_unicyclic_trichotomy_n9():
                    300.0):
         checked = 0
         for n in range(3, 10):
-            for g in enumerate_connected(n, unicyclic_only=True, cap=9):
+            for g in enumerate_connected(n, max_c=1, cap=9):
+                if len(g.edges) != n:  # a tree
+                    continue
                 for sg in enumerate_signatures(g):
                     if is_balanced(sg).balanced:
                         continue
@@ -263,7 +265,9 @@ def _property_matching_rules():
 
 def _property_cycle_equivalences():
     for n in range(3, 10):
-        for g in enumerate_connected(n, unicyclic_only=True, cap=9):
+        for g in enumerate_connected(n, max_c=1, cap=9):
+            if len(g.edges) != n:  # a tree
+                continue
             if len(unique_cycle(g)) % 2 == 0:
                 left, right = even_cycle_matching_equivalence(g)
             else:

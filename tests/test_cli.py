@@ -265,6 +265,22 @@ class TestVerifyCommand:
                      "--source", f"graph6:{src}",
                      "--out", str(tmp_path / "r.json")]) == 4
 
+    def test_parse_error_after_good_lines_keeps_out(self, tmp_path):
+        """The source is read as the campaign runs: a bad line after good
+        ones still exits 4 and leaves an existing ``--out`` as it was."""
+        src = tmp_path / "late.g6"
+        write_graph6([cycle_graph(4), path_graph(5)], str(src))
+        with open(src, "a", encoding="ascii") as fh:
+            fh.write("D?\n")
+        out = tmp_path / "r.json"
+        out.write_text("earlier\n")
+        for workers in ("1", "2"):
+            assert main(["verify", "--n-max", "6", "--workers", workers,
+                         "--source", f"graph6:{src}", "--out", str(out)]) == 4
+            assert out.read_text() == "earlier\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["late.g6",
+                                                                  "r.json"]
+
     def test_bad_source_scheme(self, tmp_path):
         assert main(["verify", "--n-max", "4", "--source", "sql:zzz",
                      "--out", str(tmp_path / "r.json")]) == 1

@@ -241,11 +241,6 @@ class TestAutomorphismGroup:
         assert len(gens) == 5
         assert all(sum(p[v] != v for v in range(6)) == 2 for p in gens)
 
-    def test_kept_once_per_graph(self):
-        g = cube()
-        assert g.automorphisms is g.automorphisms
-        assert g.automorphisms == automorphism_generators(g)
-
 
 class TestConnectedCatalog:
     def test_canonical_forms_once_per_child_orbit(self, monkeypatch):
@@ -348,10 +343,12 @@ class TestConnectedCatalog:
             assert full == capped
 
     def test_unicyclic_filter(self):
-        assert len(list(enumerate_connected(4, unicyclic_only=True))) == 2
-        counts = [len(list(enumerate_connected(n, unicyclic_only=True, cap=9)))
+        """``max_c=1`` keeps the trees and the unicyclic graphs, which have
+        ``n`` edges."""
+        counts = [[len(g.edges) == n for g in enumerate_connected(n, max_c=1, cap=9)]
                   for n in range(3, 10)]
-        assert counts == [1, 2, 5, 13, 33, 89, 240]
+        assert [c.count(False) for c in counts] == [1, 2, 3, 6, 11, 23, 47]
+        assert [c.count(True) for c in counts] == [1, 2, 5, 13, 33, 89, 240]
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -365,7 +362,7 @@ class TestConnectedCatalog:
                 list(enumerate_connected(n, max_c=-1))
 
     def test_explicit_cap_param(self):
-        got = [g.n for g in enumerate_connected(9, unicyclic_only=True, cap=9)]
+        got = [g.n for g in enumerate_connected(9, max_c=1, cap=9)]
         assert got and all(n == 9 for n in got)
 
 

@@ -307,7 +307,7 @@ class TestCachedState:
 
     def test_class_access_returns_the_descriptor(self):
         for name in ("_adj", "_forest", "_cotree", "pendant_core",
-                     "automorphisms", "_disjoint_cycles"):
+                     "_disjoint_cycles"):
             assert isinstance(vars(Graph)[name], _cached)
             assert getattr(Graph, name) is vars(Graph)[name]
         assert Graph.pendant_core.__doc__.startswith("What is left")

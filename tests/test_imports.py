@@ -1,8 +1,9 @@
 """Every imported name is used, in the package and in the tests, and is
 imported from the module that defines it, every private top-level function
-and class of the package is read, the package states no check as an
-``assert`` and caches nothing with ``functools.cached_property``, and every
-name the README's entry points list exists.
+and class of the package is read, every import of the package is at
+module top level, the package states no check as an ``assert`` and caches
+nothing with ``functools.cached_property``, and every name the README's
+entry points list exists.
 
 Static checks with the standard library's ``ast``. ``snlab/__init__.py``
 is left out of the first, because it imports names only to re-export them,
@@ -142,6 +143,28 @@ def test_the_check_finds_unread_private_names():
 def test_no_unread_private_names_in_the_package():
     assert unread_private_names(
         [p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+def nested_import_lines(source: str) -> list[int]:
+    """The lines of the module's imports that are not top-level statements."""
+    tree = ast.parse(source)
+    top = set(tree.body)
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in top]
+
+
+def test_the_check_finds_nested_imports():
+    source = ("import os\nfrom .graphs import Graph\nif os.name:\n"
+              "    import sys\nclass A:\n    def f(self):\n"
+              "        from .generation import canonical_form\n"
+              "        return 'import json'\n")
+    assert nested_import_lines(source) == [4, 7]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_imports_at_top_level_in_the_package(path):
+    """A function-level import hides an import cycle between modules."""
+    assert nested_import_lines(path.read_text(encoding="utf-8")) == []
 
 
 def assert_lines(source: str) -> list[int]:

@@ -29,8 +29,8 @@ import snlab.graphs
 from snlab import (
     Cycle,
     FamilyParams,
-    FamilyPrediction,
     Graph,
+    InvariantRecord,
     SignedGraph,
     TheoremViolation,
     attains_upper,
@@ -53,6 +53,7 @@ from snlab import (
     read_graph6,
     signed_adjacency,
     slack_coverage,
+    star_graph,
     unicyclic_case,
     vertices_on_cycles,
     write_graph6,
@@ -61,7 +62,8 @@ from conftest import (WRONG_NULLITY, complete_bipartite, connected_graphs_upto,
                       cube, petersen, signed_sweep)
 from snlab.balance import _pattern, cycle_sign, is_balanced
 from snlab.formats import graph6_decode
-from snlab.generation import canonical_form, enumerate_connected, enumerate_signatures
+from snlab.generation import (automorphism_generators, canonical_form,
+                              enumerate_connected, enumerate_signatures)
 from snlab.graphs import _forest_depth, cotree_edges, fundamental_cycle, is_connected
 from snlab.linalg import rank_division_free
 from snlab.matching import contraction_matched
@@ -618,23 +620,24 @@ class TestFamily:
         assert FamilyParams(0, 0, 1).tailed_squares == 1
 
     def test_prediction_formulas(self):
-        assert family_prediction(FamilyParams(1, 0, 0)) == FamilyPrediction(
-            n=5, m=2, c=1, eta=0, s=3)
-        assert family_prediction(FamilyParams(0, 1, 0)) == FamilyPrediction(
-            n=8, m=4, c=1, eta=2, s=0)
-        assert family_prediction(FamilyParams(0, 0, 1)) == FamilyPrediction(
-            n=7, m=3, c=1, eta=1, s=2)
-        assert family_prediction(FamilyParams(1, 1, 1)) == FamilyPrediction(
-            n=16, m=7, c=3, eta=3, s=5)
+        assert family_prediction(FamilyParams(1, 0, 0)) == InvariantRecord(
+            n=5, m=2, c=1, eta=0, balanced=True, lower=0, upper=3, s=3)
+        assert family_prediction(FamilyParams(0, 1, 0)) == InvariantRecord(
+            n=8, m=4, c=1, eta=2, balanced=False, lower=-1, upper=2, s=0)
+        assert family_prediction(FamilyParams(0, 0, 1)) == InvariantRecord(
+            n=7, m=3, c=1, eta=1, balanced=True, lower=0, upper=3, s=2)
+        assert family_prediction(FamilyParams(1, 1, 1)) == InvariantRecord(
+            n=16, m=7, c=3, eta=3, balanced=False, lower=-1, upper=8, s=5)
 
     def test_generated_matches_prediction(self):
-        for params in (FamilyParams(1, 0, 0), FamilyParams(0, 1, 0),
+        """All eight fields, on these members and every slack witness with
+        c <= 3."""
+        witnesses = [p for c in (1, 2, 3) for p in slack_coverage(c).values()]
+        for params in [FamilyParams(1, 0, 0), FamilyParams(0, 1, 0),
                        FamilyParams(0, 0, 1), FamilyParams(2, 1, 1),
-                       FamilyParams(0, 2, 3)):
+                       FamilyParams(0, 2, 3)] + witnesses:
             sg, pred = generate_family(params)
-            rec = invariant_record(sg)
-            assert (rec.n, rec.m, rec.c, rec.eta, rec.s) == (
-                pred.n, pred.m, pred.c, pred.eta, pred.s)
+            assert invariant_record(sg) == pred == family_prediction(params)
 
     def test_generated_structure(self):
         from snlab import is_balanced, is_connected
@@ -763,15 +766,24 @@ class TestGapScan:
     def test_wide_table(self):
         """From 255 vertices on the table is an ``array("L")``. A path on
         260 vertices whose chords close disjoint cycles of lengths 4, 6 and
-        8, and the same with 260 isolated vertices, whose etas exceed 255."""
+        8, the same with 260 isolated vertices, whose etas exceed 255, and
+        K_{1,300} with a triangle on leaf 1 and a 4-cycle on leaf 2, a
+        connected graph whose etas all exceed 255."""
         path = Graph(260, frozenset([(v, v + 1) for v in range(259)]
                                     + [(0, 3), (5, 10), (12, 19)]))
-        graphs = [path, disjoint_union(path, Graph(260, frozenset()))]
+        star = Graph(306, star_graph(300).edges | {
+            (1, 301), (1, 302), (301, 302), (2, 303), (303, 304), (304, 305),
+            (2, 305)})
+        graphs = [path, disjoint_union(path, Graph(260, frozenset())), star]
         assert all(isinstance(_etas(g), array) for g in graphs)
+        assert list(_etas(star)) == [300, 300, 298, 298, 0]
+        alone = gap_scan(306, source=[star])
+        assert alone.clean
+        assert alone.to_json_dict()["histogram"] == {"306,2": {"3": 2, "5": 2}}
         report, chunks = scan_emitting(520, source=graphs)
         lines = "".join(chunks).splitlines()
         classes = [sg for g in graphs for sg in enumerate_signatures(g)]
-        assert len(lines) == len(classes) == 16
+        assert len(lines) == len(classes) == 20
         for line, sg in zip(lines, classes):
             assert json.loads(line)["eta"] == nullity(sg)
         assert max(json.loads(line)["eta"] for line in lines) > 255
@@ -1066,7 +1078,7 @@ class TestClassScan:
         for g in graphs_upto_6 + symmetric_graphs():
             cotree = cotree_edges(g)
             action = _pattern_action(g, cotree)
-            gens = g.automorphisms if len(cotree) >= 5 else ()
+            gens = automorphism_generators(g) if len(cotree) >= 5 else ()
             assert len(action.maps) == len(gens)
             third = (1 << action.w) - 1
             for p, (t0, t1, t2) in zip(gens, action.maps):
@@ -1110,10 +1122,10 @@ class TestClassScan:
     def test_ranks_equal_burnside_orbit_counts(self, graphs_upto_6,
                                                monkeypatch):
         """``_etas`` ranks one class per orbit of ``H``, the group that
-        negation ``t ^ odd`` and the pattern maps of ``g.automorphisms``
-        generate (negation alone below five cotree edges): its ranks equal
-        Burnside's count ``(1/|H|) sum |Fix(h)|``, with ``H`` enumerated by
-        closure from those maps."""
+        negation ``t ^ odd`` and the pattern maps of
+        ``automorphism_generators`` generate (negation alone below five
+        cotree edges): its ranks equal Burnside's count ``(1/|H|) sum
+        |Fix(h)|``, with ``H`` enumerated by closure from those maps."""
         ranked = []
 
         def counting(residual):
