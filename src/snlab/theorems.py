@@ -416,12 +416,15 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
     table at once. At most one class can attain the upper bound (see
     :func:`_attaining`), so on a connected graph the predicate agrees with
     ``eta == upper`` on every class whose eta is not the upper bound, but
-    the attaining one, where it agrees iff its eta is. The classes are
-    walked in pattern order only to emit their lines, or when a count
-    shows a broken law or a disagreement, to give each such class its row,
-    which one local function builds. An emitted line is ``_dump_line`` of
-    the row: dumped once per graph with placeholders, each class fills in
-    its ``eta``, ``s`` and the text of the cotree edges :func:`_at_bits` picks.
+    the attaining one, where it agrees iff its eta is. In both modes the
+    classes are walked in pattern order only when a count shows a broken
+    law or a disagreement, to give each such class its row, which one
+    local function builds. An emitted line is ``_dump_line`` of the row,
+    joined from text made once per graph: the row dumped once and cut at
+    its ``balanced``, ``eta``, ``negatives`` and ``s``, so each distinct
+    eta has its text before and after the negatives (pattern 0, balanced,
+    its own head), and the negatives of the low ``c // 2`` and of the high
+    pattern bits, two tables of ``2**(c // 2)`` and ``2**(c - c // 2)``.
     """
     n, m, c = g.n, matching_number(g), cycle_space_dim(g)
     lower, upper = _bounds(n, m, c)
@@ -450,30 +453,42 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
         up["predicate_true"] += attaining is not None
         up["agreements"] += agreements
     bad = {v - 1 for v, k in counts.items() if k and _broken_laws(v - 1, lower, upper)}
-    if not (emit or bad or (connected and agreements < total)):
+    flagged = bad or (connected and agreements < total)
+    if not (emit or flagged):
         return ""
     g6 = graph6_encode(g)
-    lines: list[str] = []
     def row(eta, s, balanced, negatives) -> dict:  # a class's row
         return {"graph6": g6, "negatives": negatives, **InvariantRecord(
             n, m, c, eta, balanced, lower, upper, s).to_json_dict()}
+    text = ""
     if emit:
-        # the row dumped with placeholders, as format strings whose fields
-        # {0}, {1}, {2} are a class's eta, s and negatives; one per balance
-        # (forest edges are positive, so only pattern 0 is balanced)
+        # the row dumped with placeholders, cut at them in its key order
         line = _dump_line(row("\0eta", "\0s", "\0balanced", ["\0negatives"]))
-        line = line.replace("{", "{{").replace("}", "}}")
-        for i, key in enumerate(("eta", "s", "negatives")):
-            line = line.replace(json.dumps("\0" + key), f"{{{i}}}")
-        templates = [line.replace(json.dumps("\0balanced"), json.dumps(b)) + "\n"
-                     for b in (False, True)]
-        pieces = [f"[{u},{v}]" for u, v in cotree]
+        cut = []
+        for key in ("balanced", "eta", "negatives", "s"):
+            part, _, line = line.partition(json.dumps("\0" + key))
+            cut.append(part)
+        start, between, before, after = cut
+        head = {v: f"{start}false{between}{v - 1}{before}" for v in counts}
+        tail = {v: f"{after}{upper + 1 - v}{line}\n" for v in counts}
+        # the negatives of every pattern of the low and of the high bits;
+        # past pattern 2**half, a low text that is not empty ends in a comma
+        half = c // 2
+        low, high = [""], [""]
+        for i, (u, v) in enumerate(cotree):
+            bits = low if i < half else high
+            bits += [f"{x},[{u},{v}]" if x else f"[{u},{v}]" for x in bits]
+        opened = [x and x + "," for x in low]
+        lines = [head[v] + x + y + tail[v] for j, y in enumerate(high)
+                 for x, v in zip(opened if j else low,
+                                 etas[j << half:(j + 1) << half])]
+        lines[0] = f"{start}true{between}{etas[0] - 1}{before}{tail[etas[0]]}"
+        text = "".join(lines)
+    if not flagged:
+        return text
     for t in range(total):
         eta = etas[t] - 1
         s = upper - eta
-        if emit:
-            negatives = ",".join(_at_bits(pieces, t))
-            lines.append(templates[t == 0].format(eta, s, negatives))
         predicate = t == attaining
         disagrees = connected and predicate != (eta == upper)
         if eta in bad or disagrees:
@@ -482,7 +497,7 @@ def _scan_graph(g: Graph, report: CampaignReport, emit: bool) -> str:
                                      for kind in _broken_laws(eta, lower, upper))
             if disagrees:
                 up["disagreements"].append({"predicate": predicate, **r})
-    return "".join(lines)
+    return text
 
 
 def _scan_chunk(forms: Sequence[tuple[int, int]],

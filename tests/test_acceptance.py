@@ -148,6 +148,18 @@ def test_n7_report_bytes():
         "3ca10654df36435fff8241b68af5a00895b309aa554cefb08e9e1910e30c032f")
 
 
+def test_n7_emit_bytes():
+    """The bytes of ``snlab verify --n-max 7 --emit-all`` with 2 workers,
+    over the catalog the shared scan has cached."""
+    n7_scan()
+    digest = hashlib.sha256()
+    report = gap_scan(7, workers=2,
+                      emit=lambda text: digest.update(text.encode("ascii")))
+    assert report.totals["signatures"] == 197349
+    assert digest.hexdigest() == (
+        "b6f49242e89820455faa6f8a4b9cffb75fc51581502a58eff67d93621e4292da")
+
+
 def test_criterion_06_unicyclic_trichotomy_n9():
     with criterion(6, "unicyclic trichotomy, unbalanced signatures, n <= 9",
                    300.0):

@@ -366,7 +366,8 @@ class TestOptimizedMode:
     def test_verify_output_identical_under_O(self, tmp_path):
         """``python -O`` strips asserts; the checks and output must not
         depend on them."""
-        for args in (["--n-max", "5"], ["--emit-all", "--n-max", "4"]):
+        for args in (["--n-max", "5"], ["--emit-all", "--n-max", "4"],
+                     ["--emit-all", "--workers", "2", "--n-max", "5"]):
             outputs = []
             for flags in ([], ["-O"]):
                 out = tmp_path / f"out{len(outputs)}"

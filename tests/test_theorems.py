@@ -996,6 +996,35 @@ class TestGapScanSingleSource:
                 assert json.loads(line) == row
         assert '"graph6":"EC\\\\o"' in text
 
+    def test_lines_from_the_half_tables(self, tmp_path):
+        """A line's negatives join the text of the low ``c // 2`` pattern
+        bits and that of the high ones. Every line equals its class's row
+        dumped: where the low half is empty (c = 0 and 1), where the halves
+        differ in size (c = 7, 9, 11) or not (c = 10), on a table that is
+        an ``array("L")``, and on a disconnected graph, all read from a
+        graph6 file."""
+        k6, k7 = complete_graph(6), complete_graph(7)
+        wheel = cycle_graph(6).edges | {(v, 6) for v in range(6)}
+        star = Graph(306, star_graph(300).edges | {
+            (1, 301), (1, 302), (301, 302), (2, 303), (303, 304), (304, 305),
+            (2, 305)})
+        graphs = [path_graph(1), path_graph(4), cycle_graph(5), k6,
+                  Graph(6, k6.edges - {(0, 1)}),
+                  Graph(7, k7.edges - {(0, 1), (2, 3), (4, 5), (0, 6)}),
+                  Graph(7, wheel | {(0, 3)}), star,
+                  disjoint_union(cycle_graph(4), complete_graph(4))]
+        assert [cycle_space_dim(g) for g in graphs] == [0, 0, 1, 10, 9, 11,
+                                                        7, 2, 4]
+        assert isinstance(_etas(star), array)
+        path = tmp_path / "halves.g6"
+        write_graph6(graphs, str(path))
+        _, chunks = scan_emitting(306, source=read_graph6(str(path)))
+        lines = "".join(chunks).splitlines(keepends=True)
+        rows = [row_of(sg) for g in graphs for sg in enumerate_signatures(g)]
+        assert len(lines) == len(rows) == 1 + 1 + 2 + 1024 + 512 + 2048 + 128 + 4 + 16
+        for line, row in zip(lines, rows):
+            assert line == _dump_line(row) + "\n"
+
     def test_predicate_count_equals_attains_upper(self, signed_upto_5):
         report = gap_scan(5)
         assert report.upper_check["predicate_true"] == sum(
@@ -1194,6 +1223,20 @@ class TestGapScanFailurePath:
         assert upper["tested"] == report.totals["signatures"] == 5
         assert upper["agreements"] == 5 - 3
         assert report.histogram[(2, 0)] == {1: 1}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_both_modes_give_the_same_rows(self, wrong_nullity, workers):
+        """Report and emit mode walk a graph's classes for their rows only
+        when a count flags one, and give the same rows in the same order;
+        with two workers the flagged graphs on 2 and on 3 vertices are in
+        chunks of both processes."""
+        plain = gap_scan(4, workers=workers)
+        emitted, _ = scan_emitting(4, workers=workers)
+        assert len(plain.violations) == 3
+        assert len(plain.upper_check["disagreements"]) == 3
+        assert emitted.violations == plain.violations
+        assert (emitted.upper_check["disagreements"]
+                == plain.upper_check["disagreements"])
 
     def test_emitted_lines_carry_the_wrong_values(self, wrong_nullity):
         report, chunks = scan_emitting(3)
