@@ -23,8 +23,7 @@ from .linalg import (CHAR_POLY_VERTEX_CAP, SACHS_VERTEX_CAP, BasicSubgraph,
                      char_poly_exact, enumerate_basic_subgraphs, nullity,
                      rank_exact, sachs_coefficients, signed_adjacency,
                      zero_root_multiplicity)
-from .matching import (BRUTE_FORCE_EDGE_CAP, Matching, MatchingSets,
-                       brute_force_max_matching, enumerate_maximum_matchings,
+from .matching import (BRUTE_FORCE_EDGE_CAP, MatchingSets, enumerate_maximum_matchings,
                        even_cycle_matching_equivalence, matching_number,
                        matching_sets, odd_cycle_matching_equivalence, unique_cycle)
 from .theorems import (CampaignReport, FamilyParams, InvariantRecord,

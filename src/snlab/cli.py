@@ -5,17 +5,21 @@ Subcommands: ``invariants`` (records for .sgl input), ``classify``
 file), ``generate`` (extremal family construction), ``sachs``
 (combinatorial coefficients against the exact characteristic polynomial).
 
-Exit codes are a stable contract: 0 success, 1 usage error, 2 theorem
-violation (a counterexample artifact is written), 3 capacity exceeded,
-4 parse error.
+Exit codes are a stable contract: 0 success, 1 usage error or a path
+that cannot be read or written, 2 a checked statement failed on some
+input (``verify`` writes the counterexamples beside its report), 3
+capacity exceeded, 4 parse error.
 
 Campaign reports contain no timing data, so identical configurations
-produce byte-identical files; wall time goes to stderr. When ``--out``
-is a regular file (also behind symlinks), ``verify`` writes its report
-to a temporary file beside it and renames that onto it once the campaign
-has finished, so a failed campaign leaves an earlier report as it was
-(and no file where there was none); a device such as ``/dev/null`` is
-written directly. Report schema:
+produce byte-identical files; wall time goes to stderr. Every command
+writes its ``--out`` through one writer, :func:`_output`: the path is
+opened for appending before any work, so a bad path fails at once, and a
+regular file (also behind symlinks) gets its content in a temporary file
+beside it, renamed onto it once the command has succeeded, so a failed
+command leaves an earlier file as it was (and no file where there was
+none); a device such as ``/dev/null`` is written directly. The
+per-record commands parse their whole input before they open ``--out``.
+Report schema:
 without ``--emit-all`` a single JSON object with keys ``config``,
 ``totals``, ``histogram`` (slack counts keyed by "n,c"), ``violations``
 and ``upper_check``; with ``--emit-all`` JSON-lines, one object per
@@ -40,8 +44,8 @@ import tempfile
 import time
 from typing import Optional, Sequence
 
-from .errors import CapacityError, ParseError, TheoremViolation
-from .formats import read_graph6, read_sgl, write_sgl
+from .errors import CapacityError, ParseError
+from .formats import read_graph6, read_sgl, sgl_dumps
 from .linalg import char_poly_exact, sachs_coefficients, signed_adjacency
 from .theorems import (FamilyParams, _dump_line, classify_unicyclic, gap_scan,
                        generate_family, invariant_record, unicyclic_case)
@@ -54,9 +58,7 @@ EXIT_PARSE = 4
 
 
 class UsageError(Exception):
-    def __init__(self, message: str):
-        self.message = message
-        super().__init__(message)
+    """Bad usage of the command line: exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,98 +69,99 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _open_out(path: Optional[str]):
-    """The file at ``path``, closed on exit, or standard output, left open."""
-    if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="ascii")
-
-
 @contextlib.contextmanager
-def _replacing(path: str):
-    """A file for the new content of the existing file ``path``.
+def _output(path: Optional[str]):
+    """A text file for the new content of ``path``; standard output, left
+    open, when ``path`` is None.
 
-    A regular file, also behind symlinks, is replaced only when the block
-    finishes, by renaming a temporary sibling with its permissions onto
-    it, so a failure leaves it as it was; the temporary file is removed on
-    any exception. Anything else, such as ``os.devnull`` or a pipe, is
-    written directly.
+    ``path`` is opened for appending first, so a bad path fails before any
+    work. A regular file, also behind symlinks, is replaced only when the
+    block finishes, by renaming a temporary sibling with its permissions
+    onto it; on any exception the temporary file is removed, and so is the
+    file if that first open created it. Anything else, such as
+    ``os.devnull`` or a pipe, is written directly.
     """
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        with open(path, "w", encoding="ascii") as fh:
-            yield fh
+    if path is None:
+        yield sys.stdout
         return
-    target = os.path.realpath(path)
-    fd, part = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".part")
+    created = not os.path.exists(path)
+    open(path, "a", encoding="ascii").close()
+    part = None
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            with open(path, "w", encoding="ascii") as fh:
+                yield fh
+            return
+        target = os.path.realpath(path)
+        fd, part = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".part")
         with open(fd, "w", encoding="ascii") as fh:
             os.chmod(fd, stat.S_IMODE(os.stat(target).st_mode))
             yield fh
         os.replace(part, target)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(part)
+        for name in (part, os.path.realpath(path) if created else None):
+            if name is not None:
+                with contextlib.suppress(OSError):
+                    os.remove(name)
         raise
 
 
-def cmd_invariants(args) -> int:
-    records = read_sgl(args.input)
-    with _open_out(args.out) as out:
-        for sg in records:
-            rec = invariant_record(sg, check=False)
-            out.write(_dump_line(rec.to_json_dict()) + "\n")
-    return EXIT_OK
-
-
-def cmd_classify(args) -> int:
+def _each_record(args) -> int:
+    """One JSON line per record of the .sgl input, from the command's
+    ``answer(index, record)``, which also says whether its checks agree;
+    the input is parsed before ``--out`` is opened."""
     records = read_sgl(args.input)
     disagreed = False
-    with _open_out(args.out) as out:
+    with _output(args.out) as out:
         for i, sg in enumerate(records):
-            try:
-                offset = classify_unicyclic(sg)
-            except ValueError as exc:
-                out.write(_dump_line({"index": i, "error": str(exc)}) + "\n")
-                continue
-            rec = invariant_record(sg, check=False)
-            predicted = rec.n - 2 * rec.m + offset
-            agree = predicted == rec.eta
+            line, agree = args.answer(i, sg)
             disagreed = disagreed or not agree
-            out.write(_dump_line({
-                "index": i, "case": unicyclic_case(offset),
-                "predicted_eta": predicted, "computed_eta": rec.eta,
-                "agreement": agree}) + "\n")
+            out.write(_dump_line(line) + "\n")
     return EXIT_VIOLATION if disagreed else EXIT_OK
+
+
+def _invariants(i, sg) -> tuple[dict, bool]:
+    return invariant_record(sg, check=False).to_json_dict(), True
+
+
+def _classify(i, sg) -> tuple[dict, bool]:
+    try:
+        offset = classify_unicyclic(sg)
+    except ValueError as exc:
+        return {"index": i, "error": str(exc)}, True
+    rec = invariant_record(sg, check=False)
+    predicted = rec.n - 2 * rec.m + offset
+    agree = predicted == rec.eta
+    return {"index": i, "case": unicyclic_case(offset),
+            "predicted_eta": predicted, "computed_eta": rec.eta,
+            "agreement": agree}, agree
+
+
+def _sachs(i, sg) -> tuple[dict, bool]:
+    coeffs = sachs_coefficients(sg)
+    agree = coeffs == char_poly_exact(signed_adjacency(sg))
+    return {"index": i, "coefficients": list(coeffs),
+            "agrees_char_poly": agree}, agree
 
 
 def cmd_verify(args) -> int:
     source = None
     if args.source != "internal":
         source = read_graph6(args.source[len("graph6:"):])
-    # a bad --out fails before the campaign; a file this check creates is
-    # removed again if the campaign fails
-    created = not os.path.exists(args.out)
-    open(args.out, "a", encoding="ascii").close()
-    try:
-        with _replacing(args.out) as fh:
-            started = time.monotonic()
-            report = gap_scan(n_max=args.n_max, c_max=args.c_max, source=source,
-                              source_label=args.source, workers=args.workers,
-                              emit=fh.write if args.emit_all else None)
-            elapsed = time.monotonic() - started
-            if not args.emit_all:
-                fh.write(json.dumps(report.to_json_dict(), sort_keys=True,
-                                    indent=2) + "\n")
-    except BaseException:
-        if created:
-            with contextlib.suppress(OSError):
-                os.remove(os.path.realpath(args.out))
-        raise
+    with _output(args.out) as fh:
+        started = time.monotonic()
+        report = gap_scan(n_max=args.n_max, c_max=args.c_max, source=source,
+                          source_label=args.source, workers=args.workers,
+                          emit=fh.write if args.emit_all else None)
+        elapsed = time.monotonic() - started
+        if not args.emit_all:
+            fh.write(json.dumps(report.to_json_dict(), sort_keys=True,
+                                indent=2) + "\n")
 
     bad = report.violations + report.upper_check["disagreements"]
     if bad:
         cpath = args.out + ".counterexamples.json"
-        with open(cpath, "w", encoding="ascii") as fh:
+        with _output(cpath) as fh:
             for rec in bad:
                 fh.write(_dump_line(rec) + "\n")
         print(f"{len(bad)} violation(s); counterexamples in {cpath}",
@@ -178,7 +181,8 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     sg, pred = generate_family(params)
-    write_sgl([sg], args.out)
+    with _output(args.out) as fh:
+        fh.write(sgl_dumps([sg]))
     rec = invariant_record(sg, check=False)
     ok = pred == rec
     print("quantity  predicted  computed")
@@ -188,38 +192,28 @@ def cmd_generate(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def cmd_sachs(args) -> int:
-    records = read_sgl(args.input)
-    mismatched = False
-    with _open_out(args.out) as out:
-        for i, sg in enumerate(records):
-            coeffs = sachs_coefficients(sg)
-            oracle = char_poly_exact(signed_adjacency(sg))
-            agree = coeffs == oracle
-            mismatched = mismatched or not agree
-            out.write(_dump_line({"index": i, "coefficients": list(coeffs),
-                                  "agrees_char_poly": agree}) + "\n")
-    return EXIT_VIOLATION if mismatched else EXIT_OK
-
-
 def _build_parser() -> _Parser:
     p = _Parser(prog="snlab",
                 description="Signed-graph nullity invariants and exhaustive "
                             "verification campaigns.")
     sub = p.add_subparsers(dest="command", required=True)
+    # the per-record commands differ only in their answer to one record
+    parsers = {}
+    for name, answer, summary in (
+            ("invariants", _invariants, "invariant records for .sgl input"),
+            ("classify", _classify,
+             "nullity case of unbalanced unicyclic graphs"),
+            ("verify", None, "exhaustive verification campaign"),
+            ("generate", None, "build an extremal family member"),
+            ("sachs", _sachs,
+             "combinatorial coefficients vs characteristic polynomial")):
+        parsers[name] = sp = sub.add_parser(name, help=summary)
+        if answer is not None:
+            sp.add_argument("input", help=".sgl file")
+            sp.add_argument("--out", help="output path (default stdout)")
+            sp.set_defaults(func=_each_record, answer=answer)
 
-    pi = sub.add_parser("invariants", help="invariant records for .sgl input")
-    pi.add_argument("input", help=".sgl file")
-    pi.add_argument("--out", help="output path (default stdout)")
-    pi.set_defaults(func=cmd_invariants)
-
-    pc = sub.add_parser("classify",
-                        help="nullity case of unbalanced unicyclic graphs")
-    pc.add_argument("input", help=".sgl file")
-    pc.add_argument("--out", help="output path (default stdout)")
-    pc.set_defaults(func=cmd_classify)
-
-    pv = sub.add_parser("verify", help="exhaustive verification campaign")
+    pv = parsers["verify"]
     pv.add_argument("--n-max", type=int, required=True,
                     help="largest vertex count to sweep")
     pv.add_argument("--c-max", type=int, default=None,
@@ -233,7 +227,7 @@ def _build_parser() -> _Parser:
     pv.add_argument("--out", required=True, help="report path")
     pv.set_defaults(func=cmd_verify)
 
-    pg = sub.add_parser("generate", help="build an extremal family member")
+    pg = parsers["generate"]
     pg.add_argument("triangles", type=int,
                     help="number of balanced 3-cycle blocks")
     pg.add_argument("hexagons", type=int,
@@ -242,13 +236,6 @@ def _build_parser() -> _Parser:
                     help="number of tailed 4-cycle blocks")
     pg.add_argument("--out", required=True, help=".sgl output path")
     pg.set_defaults(func=cmd_generate)
-
-    ps = sub.add_parser("sachs",
-                        help="combinatorial coefficients vs characteristic "
-                             "polynomial")
-    ps.add_argument("input", help=".sgl file")
-    ps.add_argument("--out", help="output path (default stdout)")
-    ps.set_defaults(func=cmd_sachs)
     return p
 
 
@@ -270,10 +257,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         _validate(args)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # a missing, unreadable or unwritable path
+    except (UsageError, OSError) as exc:  # a bad flag or path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:
@@ -282,9 +266,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except TheoremViolation as exc:
-        print(f"theorem violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Plain ``ValueError`` is used for ordinary bad inputs; the classes here exist
-because the command-line interface maps them to distinct exit codes.
+because callers tell them apart: the command-line interface maps capacity
+and parse errors to their own exit codes, and a violation carries its
+counterexample.
 """
 
 from __future__ import annotations

@@ -4,10 +4,9 @@ Two independent routes to the matching number are kept on purpose. The
 fast path strips pendant pairs and runs the blossom algorithm on the
 pendant core that is left (never on a forest); the brute-force recursion
 exists so tests can cross-check it on every small graph rather than
-trusting a single implementation.
-
-All functions that return a concrete matching return the canonical one:
-lexicographically least sorted edge tuple among all maximum matchings.
+trusting a single implementation. Its one entry,
+:func:`enumerate_maximum_matchings`, lists every maximum matching as a
+sorted edge tuple, in sorted order.
 """
 
 from __future__ import annotations
@@ -22,29 +21,6 @@ from .graphs import (Cycle, Edge, Graph, cycle_space_dim,
                      is_connected)
 
 BRUTE_FORCE_EDGE_CAP = 24
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise vertex-disjoint edges, stored sorted."""
-
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for u, v in self.edges:
-            if u in seen or v in seen or u == v:
-                raise ValueError("matching edges must be pairwise disjoint")
-            seen.add(u)
-            seen.add(v)
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    def covers(self, v: int) -> bool:
-        return any(v in e for e in self.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +147,12 @@ def _all_matchings(g: Graph):
     yield from rec(0, 0, ())
 
 
-def _check_brute_cap(g: Graph) -> None:
+def enumerate_maximum_matchings(g: Graph) -> list[tuple[Edge, ...]]:
+    """All maximum matchings as sorted edge tuples, sorted."""
     if len(g.edges) > BRUTE_FORCE_EDGE_CAP:
         raise CapacityError(
             f"brute-force matching is capped at {BRUTE_FORCE_EDGE_CAP} edges, "
             f"got {len(g.edges)}")
-
-
-def brute_force_max_matching(g: Graph) -> Matching:
-    """Exhaustive maximum matching; independent of the blossom code."""
-    return Matching(enumerate_maximum_matchings(g)[0])
-
-
-def enumerate_maximum_matchings(g: Graph) -> list[tuple[Edge, ...]]:
-    """All maximum matchings as sorted edge tuples, sorted."""
-    _check_brute_cap(g)
     best: list[tuple[Edge, ...]] = []
     size = 0
     for m in _all_matchings(g):

@@ -193,33 +193,22 @@ def generate_family(p: FamilyParams) -> tuple[SignedGraph, InvariantRecord]:
     vertex directly, a tailed square through its pendant-edge endpoint.
     All edges are positive except one edge per hexagon.
     """
-    signs: dict[Edge, int] = {}
+    signs: dict[Edge, int] = {(0, 1): 1}  # x = 0, y0 = 1
     nxt = 2
-    signs[(0, 1)] = 1  # x = 0, y0 = 1
-
-    def ring(labels: Sequence[int], negative_first: bool) -> None:
-        k = len(labels)
-        for i in range(k):
-            a, b = labels[i], labels[(i + 1) % k]
-            e = (a, b) if a < b else (b, a)
-            signs[e] = -1 if (negative_first and i == 0) else 1
-
-    for _ in range(p.triangles):
-        a = nxt
-        nxt += 3
-        signs[(0, a)] = 1
-        ring((a, a + 1, a + 2), negative_first=False)
-    for _ in range(p.hexagons):
-        a = nxt
-        nxt += 6
-        signs[(0, a)] = 1
-        ring(tuple(range(a, a + 6)), negative_first=True)
-    for _ in range(p.tailed_squares):
-        w = nxt
-        nxt += 5
-        signs[(0, w)] = 1
-        signs[(w, w + 1)] = 1
-        ring(tuple(range(w + 1, w + 5)), negative_first=False)
+    # per block kind: count, ring length, tail length, sign of the ring's
+    # first edge
+    for count, ring, tail, first in ((p.triangles, 3, 0, 1),
+                                     (p.hexagons, 6, 0, -1),
+                                     (p.tailed_squares, 4, 1, 1)):
+        for _ in range(count):
+            # the star edge, the tail and the ring but its closing edge
+            path = (0, *range(nxt, nxt + tail + ring))
+            for e in zip(path, path[1:]):
+                signs[e] = 1
+            a = nxt + tail  # the ring's first vertex
+            signs[(a, a + 1)] = first
+            signs[(a, a + ring - 1)] = 1
+            nxt += tail + ring
 
     g = Graph(nxt, frozenset(signs))
     return SignedGraph.with_signs(g, signs), family_prediction(p)
@@ -558,13 +547,15 @@ def _scan_chunks(chunks: Sequence[Sequence[tuple[int, int]]], emit: bool,
     try:
         for w in range(1, width):
             r, fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(r)
-                _serve(chunks[w::width], emit, fd)
-            pids.append(pid)
-            os.close(fd)
             pipes.append(open(r, "rb"))
+            try:  # the write end is the child's alone, also if fork fails
+                pid = os.fork()
+                if pid == 0:
+                    os.close(r)
+                    _serve(chunks[w::width], emit, fd)
+                pids.append(pid)
+            finally:
+                os.close(fd)
         for i, forms in enumerate(chunks):
             if i % width == 0:
                 yield _scan_chunk(forms, emit)

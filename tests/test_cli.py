@@ -109,6 +109,19 @@ class TestClassifyCommand:
         assert "error" in lines[1]
         assert lines[2]["agreement"] is True
 
+    def test_parse_error_keeps_out(self, tmp_path):
+        """The input is parsed before ``--out`` is opened: a parse error
+        leaves an earlier file as it was and creates none."""
+        bad = tmp_path / "bad.sgl"
+        bad.write_text("3\n0 1 +\n1 2 +\n0 2 -\n\n2\n0 1 *\n")
+        old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        old.write_text("earlier\n")
+        for out in (old, new):
+            assert main(["classify", str(bad), "--out", str(out)]) == 4
+        assert old.read_text() == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.sgl",
+                                                              "old.jsonl"]
+
 
 class TestVerifyCommand:
     def test_clean_run_and_determinism(self, tmp_path, capsys):
@@ -235,28 +248,39 @@ class TestVerifyCommand:
     def test_symlinked_out_gets_the_report(self, tmp_path):
         """A symlinked ``--out`` stays a symlink: the file it names gets the
         report and keeps its permissions, and a user's file that happens
-        to be called ``<out>.part`` is left alone."""
+        to be called ``<out>.part`` is left alone. Every command writes
+        ``--out`` the same way, so a per-record command does too."""
+        inp = write_records(tmp_path / "in.sgl",
+                            [SignedGraph.all_positive(path_graph(3))])
         real, link = tmp_path / "real.json", tmp_path / "link.json"
-        real.write_text("an earlier report\n")
-        real.chmod(0o640)
         link.symlink_to(real)
         mine = tmp_path / "real.json.part"
         mine.write_text("not the report's\n")
-        assert main(["verify", "--n-max", "3", "--out", str(link)]) == 0
-        assert link.is_symlink() and link.resolve() == real
-        assert json.loads(real.read_text())["totals"]["signatures"] == 5
-        assert stat.S_IMODE(real.stat().st_mode) == 0o640
-        assert mine.read_text() == "not the report's\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "link.json", "real.json", "real.json.part"]
+        for argv, read in ((["verify", "--n-max", "3"],
+                            lambda r: r["totals"]["signatures"] == 5),
+                           (["invariants", inp], lambda r: r["eta"] == 1)):
+            real.write_text("an earlier report\n")
+            real.chmod(0o640)
+            assert main([*argv, "--out", str(link)]) == 0
+            assert link.is_symlink() and link.resolve() == real
+            assert read(json.loads(real.read_text()))
+            assert stat.S_IMODE(real.stat().st_mode) == 0o640
+            assert mine.read_text() == "not the report's\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "in.sgl", "link.json", "real.json", "real.json.part"]
 
-    def test_devnull_out(self):
+    def test_devnull_out(self, tmp_path, capsys):
         """``--out`` is required, so ``os.devnull`` is how a report is
-        discarded; it is written, not replaced."""
-        for extra in ([], ["--emit-all"]):
-            assert main(["verify", "--n-max", "3", *extra,
-                         "--out", os.devnull]) == 0
+        discarded; it is written, not replaced, also by a per-record
+        command."""
+        inp = write_records(tmp_path / "in.sgl",
+                            [SignedGraph.all_positive(path_graph(3))])
+        for argv in (["verify", "--n-max", "3"],
+                     ["verify", "--n-max", "3", "--emit-all"],
+                     ["invariants", inp]):
+            assert main([*argv, "--out", os.devnull]) == 0
             assert not stat.S_ISREG(os.stat(os.devnull).st_mode)
+        assert capsys.readouterr().out == ""
 
     def test_parse_error_exit(self, tmp_path):
         src = tmp_path / "bad.g6"
@@ -413,6 +437,21 @@ class TestSachsCommand:
         big = SignedGraph.all_positive(path_graph(13))
         inp = write_records(tmp_path / "in.sgl", [big])
         assert main(["sachs", inp]) == 3
+
+    def test_capacity_part_way_keeps_the_old_out(self, tmp_path):
+        """Record 1 is answered, record 2 is over the vertex cap: the
+        command exits 3, an earlier ``--out`` keeps its content, a new one
+        is not created, and no temporary file is left."""
+        inp = write_records(tmp_path / "in.sgl", [
+            SignedGraph.all_positive(cycle_graph(3)),
+            SignedGraph.all_positive(path_graph(13))])
+        old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        old.write_text("an earlier answer\n")
+        for out in (old, new):
+            assert main(["sachs", inp, "--out", str(out)]) == 3
+        assert old.read_text() == "an earlier answer\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.sgl",
+                                                              "old.jsonl"]
 
 
 class TestUsage:

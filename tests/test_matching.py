@@ -18,9 +18,7 @@ from snlab import (
     BRUTE_FORCE_EDGE_CAP,
     CapacityError,
     Graph,
-    Matching,
     StructureError,
-    brute_force_max_matching,
     complete_graph,
     cycle_graph,
     delete_vertices,
@@ -56,23 +54,6 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
-class TestMatchingDataclass:
-    def test_sorted_storage(self):
-        m = Matching(((2, 3), (0, 1)))
-        assert m.edges == ((0, 1), (2, 3))
-        assert m.size == 2
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            Matching(((0, 1), (1, 2)))
-        with pytest.raises(ValueError):
-            Matching(((0, 0),))
-
-    def test_covers(self):
-        m = Matching(((0, 1),))
-        assert m.covers(0) and m.covers(1) and not m.covers(2)
-
-
 def blossom_number(g: Graph) -> int:
     """The blossom's matching number of the whole graph, pendant pairs and
     all, which ``matching_number`` leaves to the pendant core."""
@@ -82,7 +63,7 @@ def blossom_number(g: Graph) -> int:
 class TestBlossomAgainstBruteForce:
     def test_exhaustive_upto_7(self, graphs_upto_7):
         for g in graphs_upto_7:
-            size = brute_force_max_matching(g).size
+            size = len(enumerate_maximum_matchings(g)[0])
             assert matching_number(g) == size
             assert blossom_number(g) == size
 
@@ -92,7 +73,7 @@ class TestBlossomAgainstBruteForce:
             if g.n < 8:
                 continue
             count += 1
-            size = brute_force_max_matching(g).size
+            size = len(enumerate_maximum_matchings(g)[0])
             assert matching_number(g) == size
             assert blossom_number(g) == size
         assert count > 100  # trees, unicyclic and bicyclic graphs on 8 vertices
@@ -106,7 +87,7 @@ class TestBlossomAgainstBruteForce:
             if len(g.edges) > BRUTE_FORCE_EDGE_CAP:
                 continue
             checked += 1
-            size = brute_force_max_matching(g).size
+            size = len(enumerate_maximum_matchings(g)[0])
             assert matching_number(g) == size
             assert blossom_number(g) == size
 
@@ -124,7 +105,7 @@ class TestBlossomAgainstBruteForce:
         edges = {(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)}
         g = Graph(7, frozenset(edges))
         assert matching_number(g) == 3
-        assert brute_force_max_matching(g).size == 3
+        assert len(enumerate_maximum_matchings(g)[0]) == 3
 
     def test_pendant_core_route_equals_whole_graph_blossom(self):
         # a random graph on the first core_n vertices; each later vertex
@@ -166,8 +147,8 @@ class TestCounting:
             assert len(set(maxima)) == len(maxima)
             target = matching_number(g)
             for edges in maxima:
-                m = Matching(edges)  # validates disjointness
-                assert m.size == target
+                assert len(edges) == target
+                assert len({v for e in edges for v in e}) == 2 * target
                 assert all(e in g.edges for e in edges)
 
 
@@ -389,8 +370,6 @@ class TestCapacity:
     def test_brute_force_capped(self):
         g = complete_graph(8)  # 28 edges
         assert len(g.edges) > BRUTE_FORCE_EDGE_CAP
-        with pytest.raises(CapacityError):
-            brute_force_max_matching(g)
         with pytest.raises(CapacityError):
             enumerate_maximum_matchings(g)
         # the blossom path has no such cap

@@ -10,6 +10,7 @@ and error paths.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import functools
 import gc
 import hashlib
@@ -958,6 +959,28 @@ class TestForkedChildren:
         with pytest.raises(OSError, match="disk full"):
             gap_scan(6, workers=2, emit=sink)
         assert_no_children()
+
+    def test_failed_fork_closes_its_pipe(self, monkeypatch):
+        """A fork that fails, as with too many processes, leaves no end of
+        the child's pipe open."""
+        opened, pipe = [], os.pipe
+
+        def recording():
+            ends = pipe()
+            opened.extend(ends)
+            return ends
+
+        def failing():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "pipe", recording)
+        monkeypatch.setattr(os, "fork", failing)
+        with pytest.raises(BlockingIOError):
+            gap_scan(5, workers=2)
+        assert len(opened) == 2
+        for fd in opened:
+            with pytest.raises(OSError):
+                os.fstat(fd)
 
     def test_import_starts_no_multiprocessing(self):
         """The package and its command line import no ``multiprocessing``,
